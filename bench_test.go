@@ -538,22 +538,24 @@ func BenchmarkHashTableConstruction(b *testing.B) {
 // ---- Pipelined vs synchronous epochs (§6) ----
 
 func BenchmarkPipelinedEpochs(b *testing.B) {
+	// The names predate PipelineDepth being the only scheduling option and
+	// are kept for scripts/bench.sh and results/BENCH_pipeline.json:
+	// pipeline=false is the synchronous depth 1, pipeline=true depth 2.
 	modes := []struct {
-		name     string
-		pipeline bool
-		depth    int
+		name  string
+		depth int
 	}{
-		{"pipeline=false", false, 0},
-		{"pipeline=true", true, 0}, // default depth
-		{"pipeline=true/depth=1", true, 1},
-		{"pipeline=true/depth=2", true, 2},
-		{"pipeline=true/depth=4", true, 4},
+		{"pipeline=false", 1},
+		{"pipeline=true", 2},
+		{"pipeline=true/depth=1", 1},
+		{"pipeline=true/depth=2", 2},
+		{"pipeline=true/depth=4", 4},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
 			st, err := snoopy.Open(snoopy.Config{
 				BlockSize: benchBlock, SubORAMs: 2,
-				Pipeline: mode.pipeline, PipelineDepth: mode.depth,
+				PipelineDepth: mode.depth,
 			})
 			if err != nil {
 				b.Fatal(err)

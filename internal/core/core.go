@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -95,20 +94,17 @@ type Config struct {
 	Sealed bool
 	// Strict enables debug validation inside subORAMs.
 	Strict bool
-	// Pipeline overlaps epoch stages (paper §6: "we can pipeline the
-	// subORAM and load balancer processing"): while the subORAMs execute
-	// epoch e, the load balancers batch epoch e+1 and match epoch e-1.
-	// Flush then returns once the epoch is *dispatched*; per-request
-	// completion still blocks until its epoch finishes.
-	Pipeline bool
 	// PipelineDepth bounds the number of epochs in flight at once
-	// (dispatched but not yet fully replied) when Pipeline is on. Flush
-	// blocks once the bound is reached — the backpressure that keeps the
-	// arena working set and reply latency bounded. 0 picks a default from
-	// public parameters (GOMAXPROCS, clamped to [2,4]); the depth, like
-	// every scheduling parameter, is public deployment configuration: the
-	// dispatch cadence it produces depends only on epoch timing and batch
-	// sizes the network adversary already observes.
+	// (dispatched but not yet fully replied). Paper §6 pipelines the
+	// stages: while the subORAMs execute epoch e, the load balancers batch
+	// epoch e+1 and match epoch e-1. Flush returns once its epoch is
+	// dispatched and fewer than PipelineDepth epochs are in flight — the
+	// backpressure that keeps the arena working set and reply latency
+	// bounded. 0 or 1 (the default) is the synchronous schedule: Flush
+	// returns after its epoch fully replied. Values above 16 are clamped.
+	// The depth, like every scheduling parameter, is public deployment
+	// configuration: the dispatch cadence it produces depends only on epoch
+	// timing and batch sizes the network adversary already observes.
 	PipelineDepth int
 	// DataDir, when non-empty, makes every local partition durable
 	// (internal/persist): sealed snapshots plus a sealed write-ahead log
@@ -173,13 +169,13 @@ type Config struct {
 	// result instead of re-executing. 0 picks 4096. Public configuration.
 	ReplyWindow int
 
-	// TestCrashPoint, when set, is consulted at named points inside Flush
+	// TestCrashPoint, when set, is consulted at named points of every epoch
 	// ("stage-a": after batching, before journaling; "journal": after the
 	// journal commit, before dispatch; "dispatch": after partitions
 	// executed, before any reply). Returning true simulates a root crash at
 	// that point: the system stops silently — no replies, no further epochs
-	// — exactly as a killed process would. Test hook (internal/chaos);
-	// honored only in synchronous (non-Pipeline) mode.
+	// — exactly as a killed process would. Test hook (internal/chaos),
+	// honored at every PipelineDepth.
 	TestCrashPoint func(point string, epoch uint64) bool
 
 	// Telemetry, when non-nil, records per-epoch stage spans (stage A
@@ -347,17 +343,15 @@ type System struct {
 	// draining its own FIFO job queue. Per-partition epoch order (required
 	// for last-write-wins linearizability) is the queue order; partitions
 	// drift across epochs independently, so a slow partition no longer
-	// stalls the others' next-epoch scans. In pipelined mode depthSem
-	// bounds the epochs in flight and the sequencer runs the epoch-ordered
-	// completion work (health accounting, batch release, stage C spawn).
-	depth    int              // epochs in flight bound (1 when !Pipeline)
+	// stalls the others' next-epoch scans. depthSem bounds the epochs in
+	// flight and the sequencer runs the epoch-ordered completion work
+	// (health accounting, batch release, stage C spawn).
 	partQ    []chan *epochJob // per-partition FIFO job queues, cap depth
 	bDone    chan *epochJob   // completed jobs, in epoch order
 	seqDone  chan struct{}    // sequencer exited
 	depthSem chan struct{}    // pipeline depth tokens
 	workerWG sync.WaitGroup   // partition workers
 	bOnce    sync.Once        // closes bDone exactly once
-	finishMu sync.Mutex       // serializes finishStageB across modes
 	// bGather/bIdx/bView are per-partition scratch for assembling the
 	// live-batch slice handed to BatchAccessN; partition s is only ever
 	// processed by one worker at a time (FIFO queue), so slot s needs no
@@ -605,6 +599,7 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 				Config: lbCfg,
 				Leaves: cfg.LBLeaves,
 				FanIn:  cfg.LBFanIn,
+				Plane:  i,
 			}, key)
 			if err != nil {
 				return nil, err
@@ -625,27 +620,18 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 		sys.health.LeafConsecutiveFailures = make([]int, totalFeeds)
 		sys.health.LeafTotalFailures = make([]uint64, totalFeeds)
 	}
-	sys.depth = 1
-	if cfg.Pipeline {
-		sys.depth = cfg.PipelineDepth
-		if sys.depth <= 0 {
-			sys.depth = defaultPipelineDepth()
-		}
-		if sys.depth > maxPipelineDepth {
-			sys.depth = maxPipelineDepth
-		}
-		sys.depthSem = make(chan struct{}, sys.depth)
-		sys.bDone = make(chan *epochJob, sys.depth+1)
-		sys.seqDone = make(chan struct{})
-		cfg.Telemetry.Gauge("snoopy_config_pipeline_depth").Set(int64(sys.depth))
-		go sys.sequencer()
-	}
+	depth := min(max(cfg.PipelineDepth, 1), maxPipelineDepth)
+	cfg.Telemetry.Gauge("snoopy_config_pipeline_depth").Set(int64(depth))
+	sys.depthSem = make(chan struct{}, depth)
+	sys.bDone = make(chan *epochJob, depth+1)
+	sys.seqDone = make(chan struct{})
+	go sys.sequencer()
 	sys.partQ = make([]chan *epochJob, len(subs))
 	sys.bGather = make([][]*store.Requests, len(subs))
 	sys.bIdx = make([][]int, len(subs))
 	sys.bView = make([][]store.Requests, len(subs))
 	for s := range sys.partQ {
-		sys.partQ[s] = make(chan *epochJob, sys.depth)
+		sys.partQ[s] = make(chan *epochJob, depth)
 		sys.bGather[s] = make([]*store.Requests, 0, cfg.NumLoadBalancers)
 		sys.bIdx[s] = make([]int, 0, cfg.NumLoadBalancers)
 		sys.bView[s] = make([]store.Requests, cfg.NumLoadBalancers)
@@ -711,12 +697,7 @@ func (sys *System) Init(ids []uint64, data []byte) error {
 
 // Close stops the epoch ticker and fails all pending requests.
 func (sys *System) Close() {
-	sys.closeOne.Do(func() {
-		close(sys.closed)
-		if sys.ticker != nil {
-			sys.ticker.Stop()
-		}
-	})
+	sys.signalClose()
 	sys.wg.Wait()
 	// Shut the stage-B plane down in dependency order: stop new dispatches
 	// (pipeOff under epochMu), close the partition queues so the workers
@@ -724,19 +705,12 @@ func (sys *System) Close() {
 	// sequencer's input and wait out the stage-C goroutines it spawned —
 	// a dispatched epoch always completes fully, replies included.
 	sys.epochMu.Lock()
-	if !sys.pipeOff {
-		sys.pipeOff = true
-		for _, q := range sys.partQ {
-			close(q)
-		}
-	}
+	sys.stopDispatchLocked()
 	sys.epochMu.Unlock()
 	sys.workerWG.Wait()
-	if sys.cfg.Pipeline {
-		sys.bOnce.Do(func() { close(sys.bDone) })
-		<-sys.seqDone
-		sys.cWG.Wait()
-	}
+	sys.bOnce.Do(func() { close(sys.bDone) })
+	<-sys.seqDone
+	sys.cWG.Wait()
 	// No stage B runs after this point, so no new repair can start; wait
 	// out any in-flight attempt (its own dial deadlines bound the wait).
 	sys.repairWG.Wait()
@@ -768,6 +742,28 @@ func (sys *System) Close() {
 	}
 	if sys.journal != nil {
 		sys.journal.Close()
+	}
+}
+
+// signalClose closes the shutdown channel and stops the epoch ticker, once.
+func (sys *System) signalClose() {
+	sys.closeOne.Do(func() {
+		close(sys.closed)
+		if sys.ticker != nil {
+			sys.ticker.Stop()
+		}
+	})
+}
+
+// stopDispatchLocked closes the partition queues, once: no epoch is
+// dispatched after it, and the workers drain the ones already queued.
+// Caller holds epochMu.
+func (sys *System) stopDispatchLocked() {
+	if !sys.pipeOff {
+		sys.pipeOff = true
+		for _, q := range sys.partQ {
+			close(q)
+		}
 	}
 }
 
@@ -910,40 +906,39 @@ type epochJob struct {
 	subUsed []SubORAMClient
 
 	// bLeft counts partitions still executing stage B; the worker that
-	// takes it to zero completes the job: synchronous epochs close bFin
-	// (the dispatching Flush is waiting on it), pipelined epochs go to the
-	// sequencer. Completions reach the sequencer in epoch order because
-	// every partition drains its queue FIFO: job N+1 cannot complete
-	// anywhere before every partition finished job N.
+	// takes it to zero hands the job to the sequencer. Completions reach
+	// the sequencer in epoch order because every partition drains its
+	// queue FIFO: job N+1 cannot complete anywhere before every partition
+	// finished job N.
 	bLeft atomic.Int32
-	sync  bool
-	bFin  chan struct{}
+	// res[g][j] answers queues[g][j]. Stage C fills it and delivers every
+	// reply only after recording the epoch's spans and stats, so a client
+	// holding its reply observes its epoch in LastEpochStats and the
+	// exported telemetry.
+	res [][]result
 }
 
-// Pipeline depth bounds. The default is sized from public parameters
-// only: the machine's GOMAXPROCS (public deployment shape), clamped so a
-// big machine doesn't balloon the arena working set. maxPipelineDepth
-// caps operator configuration for the same reason.
+// failed returns n copies of the error reply err.
+func failed(n int, err error) []result {
+	res := make([]result, n)
+	for j := range res {
+		res[j].err = err
+	}
+	return res
+}
+
+// maxPipelineDepth caps Config.PipelineDepth so a large configured depth
+// cannot balloon the arena working set.
 const maxPipelineDepth = 16
 
-func defaultPipelineDepth() int {
-	d := runtime.GOMAXPROCS(0)
-	if d < 2 {
-		d = 2
-	}
-	if d > 4 {
-		d = 4
-	}
-	return d
-}
-
-// Flush runs one epoch. In the default synchronous mode it batches,
-// executes, matches, and replies before returning. In pipelined mode
-// (Config.Pipeline) it performs stage A (snapshot + batching) and
-// dispatches the rest; stages overlap across epochs exactly as the
+// Flush runs one epoch: stage A (snapshot + batching), then journal and
+// dispatch to the partition workers. It returns once the epoch is
+// dispatched and fewer than PipelineDepth epochs are in flight. At depth 1
+// (the default) that is after the epoch fully replied and recorded its
+// stats; at larger depths stages overlap across epochs exactly as the
 // paper's throughput equation assumes: stage A of epoch N+1 runs while
-// the partition workers scan epoch N and stage C matches epoch N−1, up
-// to PipelineDepth epochs in flight.
+// the partition workers scan epoch N and stage C matches epoch N−1.
+// Per-request completion always waits for the request's own epoch.
 func (sys *System) Flush() {
 	select {
 	case <-sys.crashedCh:
@@ -953,9 +948,6 @@ func (sys *System) Flush() {
 	}
 	sys.epochMu.Lock()
 	job := sys.stageA()
-	if sys.crashAt("stage-a", job) {
-		return
-	}
 	if sys.pipeOff {
 		// Close already shut the partition queues: nothing will execute
 		// this job, so every snapshotted request gets its ErrClosed reply
@@ -964,34 +956,27 @@ func (sys *System) Flush() {
 		sys.failJob(job, ErrClosed)
 		return
 	}
-	if sys.cfg.Pipeline {
-		// Depth-token acquire applies backpressure when the pipeline is
-		// full. It also selects on closed so a Flush blocked here (e.g.
-		// behind a partition stalled at its RPC deadline) cannot hold
-		// Close hostage: the job is failed, not dispatched.
-		select {
-		case sys.depthSem <- struct{}{}:
-		case <-sys.closed:
-			sys.epochMu.Unlock()
-			sys.failJob(job, ErrClosed)
-			return
-		}
-		// Journal-before-dispatch: once Begin returns, the epoch either
-		// completes here or is replayed by a successor. A Begin failure
-		// means the epoch was never acknowledged — failing it without
-		// dispatch keeps "not journaled ⇒ never applied" true, so clients
-		// can safely retry as fresh requests.
-		if err := sys.journalBegin(job); err != nil {
-			<-sys.depthSem
-			sys.epochMu.Unlock()
-			sys.failJob(job, err)
-			return
-		}
-		sys.dispatch(job)
+	// Depth-token acquire applies backpressure when the pipeline is full.
+	// It also selects on closed so a Flush blocked here (e.g. behind a
+	// partition stalled at its RPC deadline) cannot hold Close hostage:
+	// the job is failed, not dispatched.
+	select {
+	case sys.depthSem <- struct{}{}:
+	case <-sys.closed:
 		sys.epochMu.Unlock()
+		sys.failJob(job, ErrClosed)
 		return
 	}
+	if sys.crashAt("stage-a", job) {
+		return
+	}
+	// Journal-before-dispatch: once Begin returns, the epoch either
+	// completes here or is replayed by a successor. A Begin failure means
+	// the epoch was never acknowledged — failing it without dispatch keeps
+	// "not journaled ⇒ never applied" true, so clients can safely retry as
+	// fresh requests.
 	if err := sys.journalBegin(job); err != nil {
+		<-sys.depthSem
 		sys.epochMu.Unlock()
 		sys.failJob(job, err)
 		return
@@ -999,22 +984,20 @@ func (sys *System) Flush() {
 	if sys.crashAt("journal", job) {
 		return
 	}
-	job.sync = true
-	job.bFin = make(chan struct{})
 	sys.dispatch(job)
 	sys.epochMu.Unlock()
-	<-job.bFin
-	if sys.crashAfterDispatch(job) {
-		return
+	// Wait for a free depth slot (acquire and return one token). Selecting
+	// on closed keeps Close and a crash from leaving this Flush hanging.
+	select {
+	case sys.depthSem <- struct{}{}:
+		<-sys.depthSem
+	case <-sys.closed:
 	}
-	sys.finishStageB(job)
-	sys.stageC(job)
 }
 
 // dispatch hands the job to every partition worker. Caller holds epochMu,
 // so queue order is epoch order. The sends cannot block indefinitely: at
-// most depth jobs hold tokens (pipelined) or one job is in flight per
-// caller (synchronous), matching the queues' capacity.
+// most depth jobs hold tokens, matching the queues' capacity.
 func (sys *System) dispatch(job *epochJob) {
 	for s := range sys.partQ {
 		sys.partQ[s] <- job
@@ -1022,27 +1005,22 @@ func (sys *System) dispatch(job *epochJob) {
 }
 
 // failJob replies ErrClosed (or another terminal error) to every request
-// snapshotted into a job that will never execute, and returns the job's
-// pooled stage-A storage to the arena.
+// snapshotted into a job that will never execute — unless the root
+// crashed, which answers nothing — and returns the job's pooled stage-A
+// storage to the arena.
 func (sys *System) failJob(job *epochJob, err error) {
-	for _, q := range job.queues {
-		for _, p := range q {
-			p.ch <- result{err: err}
+	if !sys.Crashed() {
+		for _, q := range job.queues {
+			for _, p := range q {
+				p.ch <- result{err: err}
+			}
 		}
 	}
-	for i := range job.eps {
-		job.eps[i].batches.Release()
-		job.eps[i].batches = nil
-		for f := range job.eps[i].feedReqs {
-			arena.Default.PutRequests(job.eps[i].feedReqs[f])
-			job.eps[i].feedReqs[f] = nil
-		}
-	}
+	sys.releaseJobSilently(job, false)
 }
 
 // partitionWorker drains partition s's job queue in FIFO (= epoch) order.
-// The worker that finishes a job's last partition completes it: a
-// synchronous epoch wakes its Flush, a pipelined one goes to the
+// The worker that finishes a job's last partition hands it to the
 // sequencer. Long-lived workers replace the per-epoch goroutine fan-out —
 // the stage-B pool is bounded by S for the life of the system.
 func (sys *System) partitionWorker(s int) {
@@ -1050,23 +1028,22 @@ func (sys *System) partitionWorker(s int) {
 	for job := range sys.partQ[s] {
 		sys.partStageB(job, s)
 		if job.bLeft.Add(-1) == 0 {
-			if job.sync {
-				close(job.bFin)
-			} else {
-				sys.bDone <- job
-			}
+			sys.bDone <- job
 		}
 	}
 }
 
-// sequencer runs the epoch-ordered completion work for pipelined epochs:
-// health/failover accounting (consecutive-failure runs are only well
-// defined in epoch order), batch release, and the stage-C spawn. Stage C
-// itself runs concurrently across epochs and releases the depth token
-// when the epoch has fully replied.
+// sequencer runs the epoch-ordered completion work: the "dispatch" crash
+// point, health/failover accounting (consecutive-failure runs are only
+// well defined in epoch order), batch release, and the stage-C spawn.
+// Stage C itself runs concurrently across epochs and releases the depth
+// token when the epoch has fully replied.
 func (sys *System) sequencer() {
 	defer close(sys.seqDone)
 	for job := range sys.bDone {
+		if sys.crashAfterDispatch(job) {
+			continue
+		}
 		sys.finishStageB(job)
 		sys.cWG.Add(1)
 		go func(job *epochJob) {
@@ -1257,8 +1234,6 @@ func (sys *System) partStageB(job *epochJob, s int) {
 // further failing epoch until a replacement is promoted) and the batch
 // release back to the arena.
 func (sys *System) finishStageB(job *epochJob) {
-	sys.finishMu.Lock()
-	defer sys.finishMu.Unlock()
 	now := time.Now()
 	sys.statsMu.Lock()
 	for s := range job.subErr {
@@ -1287,7 +1262,7 @@ func (sys *System) finishStageB(job *epochJob) {
 	sys.statsMu.Unlock()
 	// Every subORAM is done with its views of the batch storage: return it
 	// to the arena now, before stage C (possibly overlapping the next
-	// epoch's stage B in pipelined mode) runs. Stage C reads the copied
+	// epoch's stage B at depth > 1) runs. Stage C reads the copied
 	// perSub/dropped fields, never the Batches.
 	for i := range job.eps {
 		job.eps[i].batches.Release()
@@ -1300,6 +1275,7 @@ func (sys *System) finishStageB(job *epochJob) {
 func (sys *System) stageC(job *epochJob) {
 	L := len(sys.lbs)
 	matchWall := make([]time.Duration, L)
+	job.res = make([][]result, len(job.queues))
 	if L == 1 {
 		sys.stageCPlane(job, 0, matchWall)
 	} else {
@@ -1316,6 +1292,11 @@ func (sys *System) stageC(job *epochJob) {
 	}
 
 	sys.stageCStats(job, matchWall)
+	for g, q := range job.queues {
+		for j, p := range q {
+			p.ch <- job.res[g][j]
+		}
+	}
 	// Every reply for this epoch has been issued (and parked): the journal
 	// no longer needs to replay it.
 	sys.journalComplete(job.id)
@@ -1354,9 +1335,7 @@ func (sys *System) stageCPlane(job *epochJob, i int, matchWall []time.Duration) 
 	}
 	failAll := func(err error) {
 		for f := 0; f < F; f++ {
-			for _, p := range job.queues[i*F+f] {
-				p.ch <- result{err: err}
-			}
+			job.res[i*F+f] = failed(len(job.queues[i*F+f]), err)
 		}
 	}
 	if job.aclErr != nil {
@@ -1370,8 +1349,8 @@ func (sys *System) stageCPlane(job *epochJob, i int, matchWall []time.Duration) 
 	// Graceful degradation: responses from healthy partitions are
 	// matched normally; requests routed to failed partitions get
 	// that partition's (index-tagged) error. Every reply — value or
-	// error — leaves at match completion, so reply traffic keeps
-	// its uniform timing regardless of which partitions failed.
+	// error — leaves together at the end of stage C, so reply traffic
+	// keeps its uniform timing regardless of which partitions failed.
 	anyErr := false
 	total := 0
 	for s := 0; s < S; s++ {
@@ -1456,24 +1435,19 @@ func (sys *System) stageCStats(job *epochJob, matchWall []time.Duration) {
 // victims are the union of the plane-wide dropped keys and this feed's
 // leaf-local drops.
 func (sys *System) replyFeed(job *epochJob, i, f int, all *store.Requests, anyErr bool) {
-	F := sys.feedsPerPlane
-	q := job.queues[i*F+f]
+	g := i*sys.feedsPerPlane + f
+	q := job.queues[g]
 	if len(q) == 0 {
 		return
 	}
 	ep := &job.eps[i]
-	fail := func(err error) {
-		for _, p := range q {
-			p.ch <- result{err: err}
-		}
-	}
 	if ep.feedErrs != nil && ep.feedErrs[f] != nil {
-		fail(ep.feedErrs[f])
+		job.res[g] = failed(len(q), ep.feedErrs[f])
 		return
 	}
 	matched, err := sys.lbs[i].bal.MatchResponses(job.id, all, f, ep.feedReqs[f])
 	if err != nil {
-		fail(err)
+		job.res[g] = failed(len(q), err)
 		return
 	}
 	var droppedSet map[uint64]struct{}
@@ -1492,43 +1466,34 @@ func (sys *System) replyFeed(job *epochJob, i, f int, all *store.Requests, anyEr
 			}
 		}
 	}
-	answered := make([]bool, len(q))
+	// Liveness backstop: a request the match leaves unanswered, like an
+	// overflow victim, gets ErrOverflow — no queued request is ever left
+	// without a reply, whatever path the epoch took.
+	res := failed(len(q), ErrOverflow)
+	job.res[g] = res
 	for j := 0; j < matched.Len(); j++ {
 		idx := matched.Client[j]
-		p := q[idx]
-		answered[idx] = true
 		if anyErr {
 			if serr := job.subErr[sys.lbs[i].bal.SubORAMFor(matched.Key[j])]; serr != nil {
-				p.ch <- result{err: serr}
+				res[idx] = result{err: serr}
 				continue
 			}
 		}
-		if droppedSet != nil {
-			if _, dropped := droppedSet[matched.Key[j]]; dropped {
-				p.ch <- result{err: ErrOverflow}
-				continue
-			}
+		if _, dropped := droppedSet[matched.Key[j]]; dropped {
+			continue
 		}
 		val := append([]byte(nil), matched.Block(j)...)
 		found := matched.Aux[j]
-		if job.denied != nil && job.denied[i*F+f] != nil {
-			nullDenied(val, &found, job.denied[i*F+f][idx])
+		if job.denied != nil && job.denied[g] != nil {
+			nullDenied(val, &found, job.denied[g][idx])
 		}
-		r := result{value: val, found: found == 1}
+		res[idx] = result{value: val, found: found == 1}
 		// Park the answer for idempotent retries before delivering it: a
 		// client that saw this root crash a moment later re-asks with the
 		// same ID and gets the original result instead of a re-execution.
-		sys.replyWin.put(p.id, r)
-		p.ch <- r
+		sys.replyWin.put(q[idx].id, res[idx])
 	}
 	arena.Default.PutRequests(matched)
-	// Liveness backstop: no queued request may ever be left without a
-	// reply, whatever path the epoch took.
-	for idx := range answered {
-		if !answered[idx] {
-			q[idx].ch <- result{err: ErrOverflow}
-		}
-	}
 }
 
 // snapshotSubs returns a stable view of the partition clients for one

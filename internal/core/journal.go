@@ -396,50 +396,55 @@ func (sys *System) replayPlaneReplies(je *persist.JournalEpoch, i int, resp []*s
 
 // --- simulated root crash ---------------------------------------------
 
-// crashLocked transitions the system to the crashed state: no replies, no
+// markCrashed transitions the system to the crashed state: no replies, no
 // further epochs, submits fail with ErrRootDown — the observable behavior
-// of a killed root process. Caller holds epochMu.
-func (sys *System) crashLocked() {
+// of a killed root process. It closes crashedCh before closed, so whoever
+// wakes on closed already sees Crashed. Needs no lock: it runs before
+// epochMu is taken, so a Flush holding epochMu while it waits for a depth
+// token observes the crash instead of deadlocking against it.
+func (sys *System) markCrashed() {
 	sys.crashOne.Do(func() { close(sys.crashedCh) })
-	sys.closeOne.Do(func() {
-		close(sys.closed)
-		if sys.ticker != nil {
-			sys.ticker.Stop()
-		}
-	})
-	if !sys.pipeOff {
-		sys.pipeOff = true
-		for _, q := range sys.partQ {
-			close(q)
-		}
-	}
+	sys.signalClose()
 }
 
-// crashAt consults the test crash hook at a pre-dispatch point. On crash
-// it marks the system dead, releases the job's storage, and answers
+// crash marks the root crashed and shuts the partition queues.
+func (sys *System) crash() {
+	sys.markCrashed()
+	sys.epochMu.Lock()
+	sys.stopDispatchLocked()
+	sys.epochMu.Unlock()
+}
+
+// crashAt consults the test crash hook at a pre-dispatch point of Flush,
+// after the job took its depth token. A root the sequencer crashed while
+// this Flush waited takes the same path. On crash it marks the system
+// dead, returns the token, releases the job's storage, and answers
 // nothing — clients observe ErrRootDown through the idempotent wait path.
 // Caller holds epochMu; on true it has been released.
 func (sys *System) crashAt(point string, job *epochJob) bool {
-	if sys.cfg.TestCrashPoint == nil || sys.cfg.Pipeline || !sys.cfg.TestCrashPoint(point, job.id) {
+	if !sys.Crashed() && (sys.cfg.TestCrashPoint == nil || !sys.cfg.TestCrashPoint(point, job.id)) {
 		return false
 	}
-	sys.crashLocked()
+	sys.markCrashed()
+	sys.stopDispatchLocked()
 	sys.epochMu.Unlock()
+	<-sys.depthSem
 	sys.releaseJobSilently(job, false)
 	return true
 }
 
-// crashAfterDispatch consults the hook at the post-execution point: the
-// partitions applied the epoch, but no reply (and no journal completion)
-// was issued — the window where only the journal keeps the epoch's
-// effects observable.
+// crashAfterDispatch consults the hook at the post-execution point, from
+// the sequencer: the partitions applied the epoch, but no reply (and no
+// journal completion) was issued — the window where only the journal
+// keeps the epoch's effects observable. Every job that reaches the
+// sequencer after a crash is released the same way: a dead root answers
+// nothing.
 func (sys *System) crashAfterDispatch(job *epochJob) bool {
-	if sys.cfg.TestCrashPoint == nil || sys.cfg.Pipeline || !sys.cfg.TestCrashPoint("dispatch", job.id) {
+	if !sys.Crashed() && (sys.cfg.TestCrashPoint == nil || !sys.cfg.TestCrashPoint("dispatch", job.id)) {
 		return false
 	}
-	sys.epochMu.Lock()
-	sys.crashLocked()
-	sys.epochMu.Unlock()
+	sys.crash()
+	<-sys.depthSem
 	sys.releaseJobSilently(job, true)
 	return true
 }
@@ -465,14 +470,11 @@ func (sys *System) releaseJobSilently(job *epochJob, withResponses bool) {
 	}
 }
 
-// Crash simulates a root process death from outside an epoch (the chaos
-// harness's kill switch): the system stops silently, pending requests are
-// never answered, and in-flight idempotent waits return ErrRootDown.
-// Synchronous mode only (like Config.TestCrashPoint).
+// Crash simulates a root process death (the chaos harness's kill switch):
+// the system stops silently, pending requests are never answered, and
+// in-flight idempotent waits return ErrRootDown.
 func (sys *System) Crash() {
-	sys.epochMu.Lock()
-	sys.crashLocked()
-	sys.epochMu.Unlock()
+	sys.crash()
 	sys.wg.Wait()
 }
 

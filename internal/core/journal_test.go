@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"snoopy/internal/history"
 	"snoopy/internal/store"
 	"snoopy/internal/suboram"
 	"snoopy/internal/transport"
@@ -36,14 +39,26 @@ func newJournalCluster(t *testing.T, S int) *journalCluster {
 // simulated-crash schedule (nil = never).
 func (c *journalCluster) root(t *testing.T, crash func(point string, epoch uint64) bool) *System {
 	t.Helper()
+	return c.rootAt(t, 0, crash, nil)
+}
+
+// rootAt is root at the given PipelineDepth; a non-nil gate fronts
+// partition 0's tagged client.
+func (c *journalCluster) rootAt(t *testing.T, depth int, crash func(point string, epoch uint64) bool, gate *gatedClient) *System {
+	t.Helper()
 	clients := make([]SubORAMClient, len(c.subs))
 	for i := range c.subs {
 		clients[i] = transport.NewLocalTagged(c.subs[i], c.rcs[i])
+	}
+	if gate != nil {
+		gate.LocalTagged = clients[0].(*transport.LocalTagged)
+		clients[0] = gate
 	}
 	sys, err := NewWithSubORAMs(Config{
 		BlockSize:        testBlock,
 		NumLoadBalancers: 2,
 		Lambda:           32,
+		PipelineDepth:    depth,
 		JournalDir:       c.dir,
 		TestCrashPoint:   crash,
 	}, clients)
@@ -204,6 +219,219 @@ func TestJournalCrashBeforeJournalRetriesFresh(t *testing.T) {
 	prev, found, err := runIdemWrite(t, r2, 21, 9, "nine-b")
 	if err != nil || !found || trimmed(prev) != "nine-a" {
 		t.Fatalf("fresh retry: prev=%q found=%v err=%v", trimmed(prev), found, err)
+	}
+}
+
+// gatedClient holds the first grouped delivery after it is armed until
+// release closes, keeping that epoch in flight in stage B.
+type gatedClient struct {
+	*transport.LocalTagged
+	armed   atomic.Bool
+	release chan struct{}
+}
+
+func (g *gatedClient) BatchAccessN(reqs []*store.Requests) ([]*store.Requests, error) {
+	if g.armed.CompareAndSwap(true, false) {
+		<-g.release
+	}
+	return g.LocalTagged.BatchAccessN(reqs)
+}
+
+// TestJournalCrashPointsAtDepth crashes the root at every journal-protocol
+// point at depth 1 and 2. At depth 2 another epoch is in flight at the
+// crash: for the pre-dispatch points the previous epoch is held in stage
+// B, for the dispatch point the next epoch is already dispatched. No reply
+// may leave the crashed root; a successor over the same journal directory
+// answers every retried ID exactly once, and the history is linearizable.
+func TestJournalCrashPointsAtDepth(t *testing.T) {
+	for _, depth := range []int{1, 2} {
+		for _, point := range []string{"stage-a", "journal", "dispatch"} {
+			depth, point := depth, point
+			t.Run(fmt.Sprintf("depth=%d/%s", depth, point), func(t *testing.T) {
+				testCrashPointAtDepth(t, depth, point)
+			})
+		}
+	}
+}
+
+// trackedOp is one idempotent request of testCrashPointAtDepth.
+type trackedOp struct {
+	id     uint64
+	op     history.Op
+	ch     chan result
+	answer string
+	found  bool
+	err    error
+}
+
+func testCrashPointAtDepth(t *testing.T, depth int, point string) {
+	const crashEpoch, epochs, nKeys, perEpoch = 3, 4, 4, 4
+	c := newJournalCluster(t, 2)
+	nextDispatched := make(chan struct{})
+	var nextOnce sync.Once
+	crash := func(p string, e uint64) bool {
+		if p == "journal" && e == crashEpoch+1 {
+			nextOnce.Do(func() { close(nextDispatched) })
+		}
+		if p != point || e != crashEpoch {
+			return false
+		}
+		if p == "dispatch" && depth > 1 {
+			// Crash only once the next epoch passed its last crash point;
+			// the crash then waits on epochMu until that epoch is queued.
+			select {
+			case <-nextDispatched:
+			case <-time.After(10 * time.Second):
+				t.Error("next epoch never reached dispatch")
+			}
+		}
+		return true
+	}
+	// Pre-dispatch crashes at depth 2 hold the previous epoch in stage B.
+	var gate *gatedClient
+	if depth > 1 && point != "dispatch" {
+		gate = &gatedClient{release: make(chan struct{})}
+	}
+	r1 := c.rootAt(t, depth, crash, gate)
+	c.initObjects(t, r1, nKeys)
+	initial := map[uint64]string{}
+	for k := uint64(0); k < nKeys; k++ {
+		initial[k] = fmt.Sprintf("init-%d", k)
+	}
+
+	finish := func(o *trackedOp, r result) {
+		o.err, o.found = r.err, r.found
+		o.answer = trimmed(r.value)
+		o.op.End = time.Now().UnixNano()
+		if !o.op.Write {
+			o.op.Output = o.answer
+		}
+	}
+	var ops []*trackedOp
+	for e := 1; e <= epochs; e++ {
+		if gate != nil && e == crashEpoch-1 {
+			gate.armed.Store(true)
+		}
+		var round []*trackedOp
+		for j := 0; j < perEpoch; j++ {
+			id := uint64(e*perEpoch + j)
+			o := &trackedOp{id: id, op: history.Op{Key: uint64(e+j) % nKeys, Start: time.Now().UnixNano()}}
+			var val []byte
+			if j%2 == 0 {
+				o.op.Write, o.op.IgnoreOutput = true, true
+				o.op.Input = fmt.Sprintf("v%d", id)
+				val = []byte(o.op.Input)
+			}
+			op := store.OpRead
+			if o.op.Write {
+				op = store.OpWrite
+			}
+			o.ch, o.err = r1.submitID(0, op, o.op.Key, val, id)
+			ops, round = append(ops, o), append(round, o)
+		}
+		r1.Flush()
+		// Every point but a depth-2 dispatch crashes inside its own Flush.
+		if e == crashEpoch && (point != "dispatch" || depth == 1) && !r1.Crashed() {
+			t.Fatalf("root did not crash at %s", point)
+		}
+		if e < crashEpoch-1 || (e == crashEpoch-1 && gate == nil) {
+			for _, o := range round {
+				if finish(o, r1.await(o.ch)); o.err != nil {
+					t.Fatalf("epoch %d before the crash: %v", e, o.err)
+				}
+			}
+		}
+	}
+	if !r1.Crashed() {
+		t.Fatalf("root did not crash at %s", point)
+	}
+	// Every request of the held and later epochs sees the root die.
+	var lost []*trackedOp
+	for _, o := range ops {
+		if o.op.End != 0 {
+			continue
+		}
+		if o.ch != nil {
+			finish(o, r1.await(o.ch))
+		}
+		if !errors.Is(o.err, ErrRootDown) {
+			t.Fatalf("request %d on the crashed root: %v, want ErrRootDown", o.id, o.err)
+		}
+		lost = append(lost, o)
+	}
+	if gate != nil {
+		close(gate.release)
+	}
+	r1.Close()
+	// Close drained every dispatched epoch: none of them replied.
+	for _, o := range lost {
+		if o.ch != nil && len(o.ch) != 0 {
+			t.Fatalf("request %d answered after the crash", o.id)
+		}
+	}
+
+	// Promote a successor and retry every unanswered ID.
+	r2 := c.rootAt(t, depth, nil, nil)
+	defer r2.Close()
+	waits := make([]func() ([]byte, bool, error), len(lost))
+	for i, o := range lost {
+		var err error
+		if o.op.Write {
+			waits[i], err = r2.WriteIdemAsync(o.id, o.op.Key, []byte(o.op.Input))
+		} else {
+			waits[i], err = r2.ReadIdemAsync(o.id, o.op.Key)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	r2.Flush()
+	for i, o := range lost {
+		v, found, err := waits[i]()
+		if finish(o, result{value: v, found: found, err: err}); err != nil {
+			t.Fatalf("retry of %d on the successor: %v", o.id, err)
+		}
+	}
+	// Each ID was answered exactly once: asking again returns the parked
+	// answer without executing.
+	for _, o := range ops {
+		if o.err != nil || o.op.End == 0 {
+			t.Fatalf("request %d never answered: %v", o.id, o.err)
+		}
+	}
+	for _, o := range lost {
+		op := store.OpRead
+		if o.op.Write {
+			op = store.OpWrite
+		}
+		_, parked, err := r2.submitIdem(0, op, o.op.Key, []byte(o.op.Input), o.id)
+		if err != nil || parked == nil || trimmed(parked.value) != o.answer || parked.found != o.found {
+			t.Fatalf("second retry of %d: parked=%v err=%v, want the first answer %q", o.id, parked, err, o.answer)
+		}
+	}
+
+	hist := make([]history.Op, 0, len(ops)+nKeys)
+	for _, o := range ops {
+		hist = append(hist, o.op)
+	}
+	start := time.Now().UnixNano()
+	reads := make([]func() ([]byte, bool, error), nKeys)
+	for k := range reads {
+		var err error
+		if reads[k], err = r2.ReadAsync(uint64(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r2.Flush()
+	for k, w := range reads {
+		v, _, err := w()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist = append(hist, history.Op{Key: uint64(k), Output: trimmed(v), Start: start, End: time.Now().UnixNano()})
+	}
+	if !history.CheckLinearizable(initial, hist) {
+		t.Fatal("history across the crash is not linearizable")
 	}
 }
 

@@ -22,7 +22,7 @@ func TestPipelinedEpochsArenaIsolation(t *testing.T) {
 		NumSubORAMs:      3,
 		Lambda:           32,
 		EpochDuration:    time.Millisecond,
-		Pipeline:         true,
+		PipelineDepth:    2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ import (
 func TestEpochGaugeMonotoneUnderLateStageC(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sys := startSystem(t, Config{
-		NumSubORAMs: 2, Pipeline: true, PipelineDepth: 4, Telemetry: reg,
+		NumSubORAMs: 2, PipelineDepth: 4, Telemetry: reg,
 	}, 16)
 
 	var waits []func() ([]byte, bool, error)
@@ -80,13 +80,14 @@ func (s *stallSub) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 // contract: a Flush waiting for a pipeline slot (every slot held by an
 // epoch stalled in stage B) must observe Close, abandon the dispatch, and
 // fail the epoch's requests with ErrClosed instead of blocking forever on
-// an un-cancellable send.
+// an un-cancellable send. At depth 1 the stalled epoch's own Flush waits
+// for the epoch to finish, so both flushes run in goroutines.
 func TestFlushBlockedOnDepthUnblocksOnClose(t *testing.T) {
 	stalled := &stallSub{inner: suboram.New(suboram.Config{BlockSize: testBlock}), release: make(chan struct{})}
 	subs := []SubORAMClient{stalled, suboram.New(suboram.Config{BlockSize: testBlock})}
 	sys, err := NewWithSubORAMs(Config{
 		BlockSize: testBlock, NumLoadBalancers: 1, Lambda: 32,
-		Pipeline: true, PipelineDepth: 1,
+		PipelineDepth: 1,
 	}, subs)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +103,16 @@ func TestFlushBlockedOnDepthUnblocksOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Flush()
+	flushed1 := make(chan struct{})
+	go func() {
+		sys.Flush()
+		close(flushed1)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); len(sys.depthSem) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("epoch 1 never took the pipeline slot")
+		}
+	}
 
 	// Epoch 2's Flush blocks waiting for the slot.
 	w2, err := sys.ReadAsync(2)
@@ -115,6 +125,8 @@ func TestFlushBlockedOnDepthUnblocksOnClose(t *testing.T) {
 		close(flushed)
 	}()
 	select {
+	case <-flushed1:
+		t.Fatal("Flush returned before its depth-1 epoch completed")
 	case <-flushed:
 		t.Fatal("Flush did not block with the pipeline full")
 	case <-time.After(50 * time.Millisecond):
@@ -148,10 +160,12 @@ func TestFlushBlockedOnDepthUnblocksOnClose(t *testing.T) {
 	if _, _, err := w1(); err != nil {
 		t.Fatalf("dispatched epoch should complete through Close: %v", err)
 	}
-	select {
-	case <-flushed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("blocked Flush never returned")
+	for _, ch := range []chan struct{}{flushed1, flushed} {
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatal("blocked Flush never returned")
+		}
 	}
 	select {
 	case <-closed:
@@ -199,7 +213,7 @@ func TestPipelinedSoakWithStalledRemote(t *testing.T) {
 	}
 	sys, err := NewWithSubORAMs(Config{
 		BlockSize: testBlock, NumLoadBalancers: 2, Lambda: 32,
-		Pipeline: true, PipelineDepth: 4,
+		PipelineDepth: 4,
 		EpochDuration: 2 * time.Millisecond,
 	}, subs)
 	if err != nil {

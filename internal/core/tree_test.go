@@ -83,7 +83,7 @@ func TestTreeSystemCrossFeedLastWriteWins(t *testing.T) {
 func TestTreeSystemManyEpochsIntegrity(t *testing.T) {
 	sys := startSystem(t, Config{
 		NumLoadBalancers: 2, NumSubORAMs: 3, LBLeaves: 2,
-		EpochDuration: time.Millisecond, Pipeline: true,
+		EpochDuration: time.Millisecond, PipelineDepth: 2,
 	}, 200)
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {

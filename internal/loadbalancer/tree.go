@@ -83,6 +83,10 @@ type TreeConfig struct {
 	// two-level tree requires Leaves ≤ FanIn. Zero defaults to Leaves.
 	// Public deployment configuration, like every shape parameter here.
 	FanIn int
+	// Plane is the tree's public load-balancer plane index. Its spans carry
+	// it (lb_root as part = Plane, lb_leaf/lb_leaf_match as the global feed
+	// index Plane·Leaves+leaf), so every plane's spans are distinct.
+	Plane int
 }
 
 // Tree is the two-level oblivious aggregation tree: Leaves leaf balancers
@@ -163,6 +167,9 @@ func NewTree(cfg TreeConfig, key crypt.Key) (*Tree, error) {
 	return t, nil
 }
 
+// feedIndex is leaf f's global feed index across planes, its span part.
+func (t *Tree) feedIndex(f int) int { return t.cfg.Plane*len(t.leaves) + f }
+
 // Feeds returns the leaf count: one client queue per leaf.
 func (t *Tree) Feeds() int { return len(t.leaves) }
 
@@ -239,7 +246,7 @@ func (t *Tree) runLeaf(f int, epoch uint64, reqs *store.Requests, work *store.Re
 	work.ViewInto(dst, lo, lo+alpha*t.cfg.NumSubORAMs)
 	tl0 := t.cfg.Telemetry.Now()
 	keys, err := t.Leaf(f).BuildRun(epoch, reqs, alpha, t.bases[f], dst)
-	t.stLeaf.Record(epoch, f, alpha, tl0, t.cfg.Telemetry.Now())
+	t.stLeaf.Record(epoch, t.feedIndex(f), alpha, tl0, t.cfg.Telemetry.Now())
 	t.leafKeys[f], t.leafErrs[f] = keys, err
 	if err != nil {
 		// A dead leaf fails only its own clients: its segment becomes the
@@ -362,7 +369,7 @@ func (t *Tree) MakeBatches(epoch uint64, feeds []*store.Requests) (*Batches, []e
 	work.Resize(runLen)
 	t.telRootMerge.Observe(time.Duration(t.cfg.Telemetry.Now() - tr0))
 	t.telMerges.Inc()
-	t.stRoot.Record(epoch, -1, runLen, tr0, t.cfg.Telemetry.Now())
+	t.stRoot.Record(epoch, t.cfg.Plane, runLen, tr0, t.cfg.Telemetry.Now())
 	dropped += rootDropped
 
 	b := batchesPool.Get().(*Batches)
@@ -387,7 +394,7 @@ func (t *Tree) MakeBatches(epoch uint64, feeds []*store.Requests) (*Batches, []e
 func (t *Tree) MatchResponses(epoch uint64, responses *store.Requests, feed int, reqs *store.Requests) (*store.Requests, error) {
 	tl0 := t.cfg.Telemetry.Now()
 	m, err := t.root.MatchResponses(responses, reqs)
-	t.stLeafMatch.Record(epoch, feed, reqs.Len(), tl0, t.cfg.Telemetry.Now())
+	t.stLeafMatch.Record(epoch, t.feedIndex(feed), reqs.Len(), tl0, t.cfg.Telemetry.Now())
 	return m, err
 }
 

@@ -93,13 +93,14 @@ func TestMergeSortedAdversarial(t *testing.T) {
 }
 
 // TestMergeTwoRunsZeroOne is the exhaustive 0/1-principle proof of the
-// two-run merge for every split (a, b) with a+b <= 28. A comparator network
+// two-run merge for every split (a, b) with a+b <= 28, empty runs included,
+// both directly and through the public MergeSorted. A comparator network
 // (plus the fixed reversal permutation) sorts all inputs iff it sorts all 0/1
 // inputs; every 0/1 pair of ascending runs is 0^p 1^q ++ 0^r 1^t, which after
 // reversing the left run is the v-shaped 1^q 0^(p+r) 1^t — exactly the class
 // mergeTwoRuns claims Lang's arbitrary-length bitonicMerge handles.
 func TestMergeTwoRunsZeroOne(t *testing.T) {
-	for n := 2; n <= 28; n++ {
+	for n := 0; n <= 28; n++ {
 		for a := 0; a <= n; a++ {
 			b := n - a
 			for p := 0; p <= a; p++ {
@@ -114,14 +115,17 @@ func TestMergeTwoRunsZeroOne(t *testing.T) {
 						u[i] = 1
 						ones++
 					}
+					// The same input through the public entry point.
+					v := append(U64Slice(nil), u...)
 					mergeTwoRuns(u, 0, a, b)
+					MergeSorted(v, []int{a, b})
 					for i := range u {
 						want := uint64(0)
 						if i >= n-ones {
 							want = 1
 						}
-						if u[i] != want {
-							t.Fatalf("n=%d a=%d b=%d p=%d r=%d: got %v", n, a, b, p, r, u)
+						if u[i] != want || v[i] != want {
+							t.Fatalf("n=%d a=%d b=%d p=%d r=%d: got %v, MergeSorted %v", n, a, b, p, r, u, v)
 						}
 					}
 				}

@@ -163,6 +163,10 @@ type Group struct {
 	counter Counter
 	f, r    int
 	timeout time.Duration
+	// expire, when set, replaces the SetTimeout timer: member i's call in
+	// a batch is abandoned when expire(i) fires (nil never fires). Tests
+	// set it to drive abandonment without racing a wall-clock deadline.
+	expire func(member int) <-chan time.Time
 
 	// gmu guards membership, the miss ledger, the init snapshot, and stats.
 	gmu       sync.Mutex
@@ -316,29 +320,33 @@ func (g *Group) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
 					done <- reply{err: fmt.Errorf("replica %d busy with an abandoned batch", i), busy: true}
 					return
 				}
-				defer rep.mu.Unlock()
+				var rp reply
 				if rep.downed {
-					done <- reply{err: fmt.Errorf("replica %d down", i)}
-					return
+					rp.err = fmt.Errorf("replica %d down", i)
+				} else if out, err := rep.client.BatchAccess(cl); err != nil {
+					rp.err = err
+				} else {
+					rep.epoch++
+					rp = reply{out: out, epoch: rep.epoch}
 				}
-				out, err := rep.client.BatchAccess(cl)
-				if err != nil {
-					done <- reply{err: err}
-					return
-				}
-				rep.epoch++
-				done <- reply{out: out, epoch: rep.epoch}
+				// Unlock before replying: once the batch holds this reply,
+				// the member must be free for the next batch, not reported
+				// busy because this goroutine has yet to run its unlock.
+				rep.mu.Unlock()
+				done <- rp
 			}()
-			if g.timeout <= 0 {
-				replies[i] = <-done
-				return
+			var expired <-chan time.Time // nil: wait for the reply forever
+			if g.expire != nil {
+				expired = g.expire(i)
+			} else if g.timeout > 0 {
+				timer := time.NewTimer(g.timeout)
+				defer timer.Stop()
+				expired = timer.C
 			}
-			timer := time.NewTimer(g.timeout)
-			defer timer.Stop()
 			select {
 			case rp := <-done:
 				replies[i] = rp
-			case <-timer.C:
+			case <-expired:
 				replies[i] = reply{err: fmt.Errorf("replica %d: no reply within %v", i, g.timeout)}
 			}
 		}()

@@ -3,6 +3,8 @@ package replica
 import (
 	"bytes"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -194,9 +196,14 @@ func TestTrustedCounterMonotone(t *testing.T) {
 type stalledClient struct {
 	Client
 	release chan struct{}
+	entered chan struct{} // closed by the first BatchAccess when non-nil
+	once    sync.Once
 }
 
 func (s *stalledClient) BatchAccess(reqs *store.Requests) (*store.Requests, error) {
+	if s.entered != nil {
+		s.once.Do(func() { close(s.entered) })
+	}
 	<-s.release
 	return s.Client.BatchAccess(reqs)
 }
@@ -331,9 +338,11 @@ func TestAutoHealPromotesSpare(t *testing.T) {
 // unwedges the member rejoins via resync.
 func TestBusyReplicaSkippedNotBlocked(t *testing.T) {
 	release := make(chan struct{})
+	entered := make(chan struct{})
 	stuck := &stalledClient{
 		Client:  suboram.New(suboram.Config{BlockSize: testBlock}),
 		release: release,
+		entered: entered,
 	}
 	live := NewReplica(suboram.New(suboram.Config{BlockSize: testBlock}))
 	wedged := NewReplica(stuck)
@@ -347,7 +356,21 @@ func TestBusyReplicaSkippedNotBlocked(t *testing.T) {
 	if err := g.Init(ids, data); err != nil {
 		t.Fatal(err)
 	}
-	g.SetTimeout(200 * time.Millisecond)
+	// The wedged member's deadline fires once its first call holds the
+	// member's lock inside the stall; no other call ever expires, so the
+	// live member is never abandoned, however slow the host.
+	var expires atomic.Int32
+	g.expire = func(member int) <-chan time.Time {
+		if member != 1 || expires.Add(1) != 1 {
+			return nil
+		}
+		fire := make(chan time.Time, 1)
+		go func() {
+			<-entered
+			fire <- time.Time{}
+		}()
+		return fire
+	}
 
 	// First batch abandons the wedged member at the deadline; it keeps
 	// holding its lock inside the stalled call.

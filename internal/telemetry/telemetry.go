@@ -35,11 +35,14 @@
 package telemetry
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -477,8 +480,9 @@ func (h SpanHandle) End() {
 }
 
 // Spans returns up to n of the most recent spans in canonical order —
-// sorted by (Epoch, Stage, Part) — so the exported trace is a deterministic
-// function of the recorded span set regardless of goroutine interleaving.
+// sorted by (Epoch, Stage, Part), then by the remaining fields so the order
+// is total — so the exported trace is a deterministic function of the
+// recorded span set regardless of goroutine interleaving.
 func (r *Registry) Spans(n int) []Span {
 	if r == nil || n <= 0 {
 		return nil
@@ -501,14 +505,10 @@ func (r *Registry) Spans(n int) []Span {
 		out = append(out, r.ring[pos])
 	}
 	r.ringMu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Epoch != out[j].Epoch {
-			return out[i].Epoch < out[j].Epoch
-		}
-		if out[i].Stage != out[j].Stage {
-			return out[i].Stage < out[j].Stage
-		}
-		return out[i].Part < out[j].Part
+	slices.SortFunc(out, func(a, b Span) int {
+		return cmp.Or(cmp.Compare(a.Epoch, b.Epoch), strings.Compare(a.Stage, b.Stage),
+			cmp.Compare(a.Part, b.Part), cmp.Compare(a.B, b.B),
+			cmp.Compare(a.Start, b.Start), cmp.Compare(a.Dur, b.Dur))
 	})
 	return out
 }

@@ -46,8 +46,8 @@ scripts/traffic.sh smoke
 # Focused re-run of the overlapped epoch engine's highest-risk surface at
 # pipeline depth > 1: the Flush/Close/stats soak with a faultnet-stalled
 # partition mid-drain, the depth-token liveness test, arena isolation
-# across in-flight epochs, and the leakage suite with the pipeline on
-# (Pipeline=true, PipelineDepth=4). These run above as part of their
+# across in-flight epochs, and the leakage suite at PipelineDepth=4.
+# These run above as part of their
 # packages; re-running them -count=2 shakes out schedule-dependent
 # interleavings the single pass can miss.
 go test -race -timeout 15m -count=2 \
@@ -56,6 +56,17 @@ go test -race -timeout 15m -count=2 \
 go test -race -timeout 15m -count=2 \
   -run 'TestTelemetryTraceIndependentOfSecretsPipelined' \
   ./internal/trace/
+
+# Formerly schedule-dependent tests, shaken the same way: the leakage test
+# over a multi-plane tree (depends on the total span export order) and the
+# busy-replica skip (depends on the injected member deadline, not a wall
+# clock).
+go test -race -timeout 15m -count=2 \
+  -run 'TestTelemetryTraceIndependentOfSecretsTreeParallel' \
+  ./internal/trace/
+go test -race -timeout 15m -count=2 \
+  -run 'TestBusyReplicaSkippedNotBlocked' \
+  ./internal/replica/
 
 # Focused re-run of the fault-tolerant root plane: journal append/replay
 # and crash-point recovery in core, root-supervisor promotion races in

@@ -70,17 +70,13 @@ type Config struct {
 	// Sealed keeps partitions in enclave-external authenticated-encrypted
 	// memory (the paper's §7 deployment mode).
 	Sealed bool
-	// Pipeline overlaps epoch stages across epochs (paper §6), raising
-	// sustained throughput when load balancers and subORAMs would
-	// otherwise idle waiting for each other.
-	Pipeline bool
-	// PipelineDepth bounds how many epochs may be in flight at once when
-	// Pipeline is set: stage A of epoch N+1 may start while stage B of
-	// epoch N and stage C of epoch N-1 are still running, up to this many
-	// unfinished epochs. Zero picks a default from GOMAXPROCS (clamped to
-	// [2,4]). The depth is public deployment configuration — backpressure
-	// depends only on it and the epoch schedule, never on request
-	// contents. Ignored when Pipeline is false.
+	// PipelineDepth bounds how many epochs may be in flight at once (paper
+	// §6): above 1, stage A of epoch N+1 may start while stage B of epoch N
+	// and stage C of epoch N-1 are still running, up to this many
+	// unfinished epochs. 0 or 1 (the default) runs epochs synchronously;
+	// values above 16 are clamped. The depth is public deployment
+	// configuration — backpressure depends only on it and the epoch
+	// schedule, never on request contents.
 	PipelineDepth int
 	// DataDir, when non-empty, makes the deployment durable: every
 	// partition keeps sealed snapshots and a sealed write-ahead log under
@@ -185,7 +181,6 @@ func Open(cfg Config) (*Store, error) {
 		SubORAMWorkers:   cfg.SubORAMWorkers,
 		SortWorkers:      cfg.SortWorkers,
 		Sealed:           cfg.Sealed,
-		Pipeline:         cfg.Pipeline,
 		PipelineDepth:    cfg.PipelineDepth,
 		DataDir:          cfg.DataDir,
 		DiskResident:     cfg.DiskResident,
@@ -214,7 +209,6 @@ func OpenWithSubORAMs(cfg Config, subs []SubORAM) (*Store, error) {
 		LBFanIn:          cfg.LBFanIn,
 		EpochDuration:    cfg.Epoch,
 		SortWorkers:      cfg.SortWorkers,
-		Pipeline:         cfg.Pipeline,
 		PipelineDepth:    cfg.PipelineDepth,
 		JournalDir:       cfg.JournalDir,
 		ReplyWindow:      cfg.ReplyWindow,
@@ -308,7 +302,9 @@ func (s *Store) WriteIdemAsync(id, key uint64, value []byte) (func() ([]byte, bo
 	return s.sys.WriteIdemAsync(id, key, value)
 }
 
-// Flush processes one epoch immediately (useful with Epoch == 0).
+// Flush processes one epoch immediately (useful with Epoch == 0). It
+// returns once the epoch is dispatched and fewer than PipelineDepth epochs
+// are in flight — at the default depth 1, after the epoch fully replied.
 func (s *Store) Flush() { s.sys.Flush() }
 
 // Stats returns the most recent epoch's timing breakdown.
