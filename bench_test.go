@@ -514,11 +514,14 @@ func BenchmarkFusedAccess(b *testing.B) {
 // ---- Ablation: two-tier construction vs Signal-style quadratic (§5) ----
 
 func BenchmarkHashTableConstruction(b *testing.B) {
-	const n = 1024
-	reqs := store.NewRequests(n, benchBlock)
-	for i := 0; i < n; i++ {
-		reqs.SetRow(i, store.OpRead, uint64(i*7+3), 0, uint64(i), uint64(i), nil)
+	batchOf := func(n int) *store.Requests {
+		reqs := store.NewRequests(n, benchBlock)
+		for i := 0; i < n; i++ {
+			reqs.SetRow(i, store.OpRead, uint64(i*7+3), 0, uint64(i), uint64(i), nil)
+		}
+		return reqs
 	}
+	reqs := batchOf(1024)
 	b.Run("two-tier", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := ohash.Build(reqs, ohash.DefaultParams()); err != nil {
@@ -533,6 +536,19 @@ func BenchmarkHashTableConstruction(b *testing.B) {
 			}
 		}
 	})
+	// Per-partition batch sizes of the perfbench workloads: durable-tcp,
+	// batch-small at its reference load, and batch-small at its knee.
+	for _, n := range []int{400, 828, 2106} {
+		reqs := batchOf(n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ohash.Build(reqs, ohash.DefaultParams()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // ---- Pipelined vs synchronous epochs (§6) ----

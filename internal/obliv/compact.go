@@ -1,5 +1,7 @@
 package obliv
 
+import "math/bits"
+
 // Oblivious, order-preserving compaction (paper §4.2.1: "Goodrich's
 // algorithm ... runs in time O(n log n) and is order-preserving").
 //
@@ -119,6 +121,44 @@ func CompactLogShift(s Swapper, marks []uint8) {
 			CondSwapU8(c, &live[j-step], &live[j])
 			// Clear the routed bit on the element now at j-step.
 			CondSetU64(c, &dist[j-step], dist[j-step]&^bit)
+		}
+	}
+}
+
+// Expand is the mirror of CompactLogShift: it moves every live element of s
+// right by its distance, routing dist one bit per pass, high bit first, with
+// positions visited in descending order. It is the oblivious bin placement
+// step of hash-table construction: sort the real rows, then spread them into
+// their slots.
+//
+// live[i] marks the elements to move and dist[i] their distances (0 for the
+// others). Destinations i+dist[i] of live elements must lie below s.Len(),
+// and distances must never decrease over the live elements in position
+// order; then no two live elements meet and their order is preserved. A
+// live prefix routed to strictly increasing destinations always satisfies
+// this. The non-live elements end up in the remaining slots in unspecified
+// order. The OSwap positions depend only on s.Len(); live and dist only
+// reach swap conditions. Both slices are swapped alongside the payload.
+//
+// Cost: (n - 2^k) conditional swaps in pass k, O(n log n) in total.
+func Expand(s Swapper, live []uint8, dist []uint64) {
+	n := s.Len()
+	if len(live) != n || len(dist) != n {
+		panic("obliv: Expand live/dist length mismatch")
+	}
+	if n < 2 {
+		return
+	}
+	// After the passes for bits above k, every live element sits at its
+	// start plus the high bits of its distance: still in order, so in pass k
+	// the slot an element moves into is never held by a live element.
+	for k := bits.Len(uint(n-1)) - 1; k >= 0; k-- {
+		step := 1 << k
+		for j := n - 1 - step; j >= 0; j-- {
+			c := live[j] & uint8((dist[j]>>uint(k))&1)
+			s.OSwap(c, j, j+step)
+			CondSwapU64(c, &dist[j], &dist[j+step])
+			CondSwapU8(c, &live[j], &live[j+step])
 		}
 	}
 }

@@ -6,7 +6,8 @@
 //   - bitonic sort (Batcher), serial and parallel, for arbitrary lengths,
 //   - order-preserving oblivious compaction (Goodrich-style; the default
 //     implementation is the ORCompact recursion, with a log-shift variant
-//     kept as an ablation baseline).
+//     kept as an ablation baseline), and its mirror, the order-preserving
+//     expansion Expand that spreads a live prefix into chosen slots.
 //
 // Obliviousness contract: every exported algorithm performs a sequence of
 // element accesses (reads, conditional swaps) whose *positions* are a fixed

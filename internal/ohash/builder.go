@@ -20,13 +20,7 @@ import (
 type Builder struct {
 	p Params
 
-	work  *store.Requests
-	spill *store.Requests
-	work2 *store.Requests
-	keep  []uint8
-	over  []uint8
-	keep2 []uint8
-
+	sc    scratch
 	tier1 *store.Requests
 	tier2 *store.Requests
 	tbl   Table
@@ -55,23 +49,28 @@ func ensure(buf **store.Requests, n, block int) *store.Requests {
 	return b
 }
 
-func ensureBits(buf *[]uint8, n int) []uint8 {
+// ensureSlice sets *buf to n zeroed elements, reusing its backing array
+// when it is large enough.
+func ensureSlice[T uint8 | uint64](buf *[]T, n int) {
 	if cap(*buf) < n {
-		*buf = make([]uint8, n)
+		*buf = make([]T, n)
 	}
-	b := (*buf)[:n]
-	clear(b)
-	return b
+	*buf = (*buf)[:n]
+	clear(*buf)
 }
 
 // Build constructs a table like the package-level Build but reusing the
 // Builder's scratch buffers, tier storage, and Table struct. The returned
 // table is valid only until the next Build call.
 func (b *Builder) Build(reqs *store.Requests) (*Table, error) {
-	return b.buildWithKeys(reqs, crypt.MustNewSipKey(), crypt.MustNewSipKey())
+	return b.BuildWithKeys(reqs, crypt.MustNewSipKey(), crypt.MustNewSipKey())
 }
 
-func (b *Builder) buildWithKeys(reqs *store.Requests, k1, k2 crypt.SipKey) (*Table, error) {
+// BuildWithKeys is Build with caller-chosen hash keys. It exists so tests
+// can fix the keys and verify that, keys held equal, the construction and
+// scan traces are independent of request contents (the simulator argument
+// of §B.5). Production code must use Build.
+func (b *Builder) BuildWithKeys(reqs *store.Requests, k1, k2 crypt.SipKey) (*Table, error) {
 	n := reqs.Len()
 	if n == 0 {
 		return nil, errEmptyBatch
@@ -82,15 +81,15 @@ func (b *Builder) buildWithKeys(reqs *store.Requests, k1, k2 crypt.SipKey) (*Tab
 	t.Tier1 = ensure(&b.tier1, g.B1*g.Z1, reqs.BlockSize)
 	t.Tier2 = ensure(&b.tier2, g.B2*g.Z2, reqs.BlockSize)
 
-	work := ensure(&b.work, n+g.B1*g.Z1, reqs.BlockSize)
-	work.Rec = b.p.Rec
-	spill := ensure(&b.spill, n+g.B1*g.Z1, reqs.BlockSize)
-	work2 := ensure(&b.work2, minInt(g.C2, n+g.B1*g.Z1)+g.B2*g.Z2, reqs.BlockSize)
-	work2.Rec = b.p.Rec
-	keep := ensureBits(&b.keep, work.Len())
-	over := ensureBits(&b.over, work.Len())
-	keep2 := ensureBits(&b.keep2, work2.Len())
-	if err := buildInto(t, reqs, b.p, work, spill, work2, keep, over, keep2); err != nil {
+	sc := &b.sc
+	ensure(&sc.work, n, reqs.BlockSize)
+	ensure(&sc.spill, n, reqs.BlockSize)
+	ensureSlice(&sc.keep, n)
+	ensureSlice(&sc.over, n)
+	m := max(n, t.Tier1.Len(), t.Tier2.Len())
+	ensureSlice(&sc.live, m)
+	ensureSlice(&sc.dist, m)
+	if err := buildInto(t, reqs, b.p.Rec, sc); err != nil {
 		return nil, err
 	}
 	return t, nil

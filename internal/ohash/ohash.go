@@ -1,9 +1,10 @@
 // Package ohash implements the oblivious two-tier hash table of Chan et al.
 // that Snoopy's subORAM uses to process request batches (paper §5). The
 // table is built from a batch of distinct requests with an oblivious
-// construction (two oblivious sorts plus compactions); afterwards, looking
-// up an object id means scanning one full bucket in each tier, which hides
-// the slot — and existence — of the match.
+// construction (one sort of the real rows per tier, compactions, and an
+// oblivious expansion into bucket slots; no sort touches padding);
+// afterwards, looking up an object id means scanning one full bucket in
+// each tier, which hides the slot — and existence — of the match.
 //
 // Tier sizing follows the paper's approach: tier-1 buckets are small
 // constants (overflow there is expected and harmless), and the overflow
@@ -94,8 +95,10 @@ func (p Params) GeometryFor(n int) Geometry {
 func (g Geometry) SlotsScannedPerLookup() int { return g.Z1 + g.Z2 }
 
 // Table is a constructed two-tier oblivious hash table over a batch of
-// requests. Tier rows use Tag as the occupancy bit (1 = holds a batch
-// request) and Sub as the bucket index.
+// requests, built by one sort of the real rows, compactions, and an
+// oblivious expansion into bucket slots. Tier rows use Tag as the occupancy
+// bit (1 = holds a batch request) and Sub as the bucket index; empty slots
+// hold padding rows (pad key, zeroed fields and data).
 type Table struct {
 	Geom  Geometry
 	K1    crypt.SipKey
@@ -110,135 +113,131 @@ type Table struct {
 // Build obliviously constructs a table from a batch of requests with
 // distinct keys. The input is not modified. Fresh hash keys are sampled per
 // call (paper §5: a new key for every batch so the attacker cannot link
-// bucket choices across batches).
+// bucket choices across batches). Callers that build per batch keep a Builder.
 func Build(reqs *store.Requests, p Params) (*Table, error) {
-	return BuildWithKeys(reqs, p, crypt.MustNewSipKey(), crypt.MustNewSipKey())
+	return NewBuilder(p).Build(reqs)
 }
 
-// BuildWithKeys is Build with caller-chosen hash keys. It exists so tests
-// can fix the keys and verify that, keys held equal, the construction and
-// scan traces are independent of request contents (the simulator argument
-// of §B.5). Production code must use Build.
+// BuildWithKeys is Build with caller-chosen hash keys (see
+// Builder.BuildWithKeys). Production code must use Build.
 func BuildWithKeys(reqs *store.Requests, p Params, k1, k2 crypt.SipKey) (*Table, error) {
-	n := reqs.Len()
-	if n == 0 {
-		return nil, errEmptyBatch
-	}
-	g := p.GeometryFor(n)
-	t := &Table{Geom: g, K1: k1, K2: k2, pool: p.pool()}
-	t.Tier1 = store.NewRequests(g.B1*g.Z1, reqs.BlockSize)
-	t.Tier2 = store.NewRequests(g.B2*g.Z2, reqs.BlockSize)
-	work := store.NewRequests(n+g.B1*g.Z1, reqs.BlockSize)
-	work.Rec = p.Rec
-	spill := store.NewRequests(work.Len(), reqs.BlockSize)
-	work2 := store.NewRequests(minInt(g.C2, work.Len())+g.B2*g.Z2, reqs.BlockSize)
-	work2.Rec = p.Rec
-	if err := buildInto(t, reqs, p,
-		work, spill, work2,
-		make([]uint8, work.Len()), make([]uint8, work.Len()), make([]uint8, work2.Len())); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return NewBuilder(p).BuildWithKeys(reqs, k1, k2)
 }
 
 var errEmptyBatch = fmt.Errorf("ohash: empty batch")
 
-// buildInto runs the oblivious construction using caller-provided scratch
-// arrays (zeroed, correctly sized — see Builder) and caller-provided tier
-// storage (t.Tier1/t.Tier2 pre-sized to the geometry; contents overwritten).
-func buildInto(t *Table, reqs *store.Requests, p Params,
-	work, spill, work2 *store.Requests, keep, over, keep2 []uint8) error {
+// scratch is the Builder's working memory for a batch of n: work, spill,
+// keep and over hold n rows; cand is a window of spill; live and dist span
+// the larger of n and either tier.
+type scratch struct {
+	work, spill      *store.Requests
+	cand             store.Requests
+	keep, over, live []uint8
+	dist             []uint64
+}
+
+// buildInto runs the oblivious construction into t, whose tiers must be
+// zeroed and sized to its geometry. No sort touches padding: each tier
+// sorts only its real rows by (bucket, key), keeps the first Z per bucket,
+// and routes those into their bucket slots with one oblivious expansion.
+func buildInto(t *Table, reqs *store.Requests, rec *trace.Recorder, sc *scratch) error {
 	g := t.Geom
 	n := reqs.Len()
+	work, spill := sc.work, sc.spill
+	work.Rec, spill.Rec = rec, rec
 
 	// ---- Tier 1 ----
-	// work = batch rows tagged occupied, plus Z1 padding dummies per bucket.
 	for i := 0; i < n; i++ {
 		work.CopyRowPlain(i, reqs, i)
 		work.Sub[i] = crypt.SipBucket(t.K1, work.Key[i], g.B1)
 		work.Tag[i] = 1
 	}
-	d := n
-	for b := 0; b < g.B1; b++ {
-		for z := 0; z < g.Z1; z++ {
-			work.SetRow(d, store.OpRead, padKey(uint64(d)), uint32(b), 0, 0, nil)
-			d++
-		}
-	}
 	obliv.Sort(store.BySubKey{Requests: work})
-
-	markRuns(work.Sub, g.Z1, keep)
-	for i := range over {
-		over[i] = work.Tag[i] & obliv.Not(keep[i]) // occupied but not placed
+	markRuns(work.Sub, g.Z1, sc.keep, sc.dist)
+	var kept uint64
+	for i, k := range sc.keep {
+		sc.over[i] = obliv.Not(k) // real but not placed in tier 1
+		kept += uint64(k)
 	}
-
-	copyColumns(spill, work)
-	obliv.Compact(work, keep)
-	t.Tier1.CopyPrefix(work)
-	t.Tier1.Rec = p.Rec
+	spill.CopyPrefix(work)
+	obliv.Compact(work, sc.keep)
+	place(t.Tier1, work, kept, g.Z1, rec, sc)
 
 	// ---- Tier 2 ----
 	// Erase the non-overflow rows of the spill copy, then compact overflow
 	// to the front and truncate to the public capacity C2.
-	for i := 0; i < spill.Len(); i++ {
-		notOv := obliv.Not(over[i])
+	for i := 0; i < n; i++ {
+		notOv := obliv.Not(sc.over[i])
 		obliv.CondSetU64(notOv, &spill.Key[i], padKey(uint64(1<<40)+uint64(i)))
 		obliv.CondSetU8(notOv, &spill.Tag[i], 0)
 	}
-	obliv.Compact(spill, over)
+	obliv.Compact(spill, sc.over)
 	// Any occupied row past C2 is lost: the negligible failure event.
 	lost := 0
-	for i := g.C2; i < spill.Len(); i++ {
+	for i := g.C2; i < n; i++ {
 		lost += int(spill.Tag[i])
 	}
 	if lost > 0 {
 		return fmt.Errorf("%w: tier-2 capacity exceeded by %d", ErrOverflow, lost)
 	}
 
-	cand := spill.View(0, minInt(g.C2, spill.Len()))
+	spill.ViewInto(&sc.cand, 0, minInt(g.C2, n))
+	cand := &sc.cand
+	cand.Rec = rec
+	var nReal uint64
 	for i := 0; i < cand.Len(); i++ {
-		work2.CopyRowPlain(i, cand, i)
 		// Real overflow rows hash into [0,B2); erased rows go to the
-		// sentinel bucket B2, selected branch-free.
-		h := crypt.SipBucket(t.K2, work2.Key[i], g.B2)
-		work2.Sub[i] = uint32(obliv.SelectU64(work2.Tag[i], uint64(g.B2), uint64(h)))
+		// sentinel bucket B2, selected branch-free, so they sort last.
+		h := crypt.SipBucket(t.K2, cand.Key[i], g.B2)
+		cand.Sub[i] = uint32(obliv.SelectU64(cand.Tag[i], uint64(g.B2), uint64(h)))
+		nReal += uint64(cand.Tag[i])
 	}
-	d = cand.Len()
-	for b := 0; b < g.B2; b++ {
-		for z := 0; z < g.Z2; z++ {
-			work2.SetRow(d, store.OpRead, padKey(uint64(1<<41)+uint64(d)), uint32(b), 0, 0, nil)
-			d++
-		}
-	}
-	obliv.Sort(store.BySubKey{Requests: work2})
+	obliv.Sort(store.BySubKey{Requests: cand})
 
-	markRuns(work2.Sub, g.Z2, keep2)
+	keep2 := sc.keep[:cand.Len()]
+	markRuns(cand.Sub, g.Z2, keep2, sc.dist)
 	lost = 0
 	for i := range keep2 {
 		// Rows in the sentinel bucket are never kept.
-		inRange := obliv.LtU64(uint64(work2.Sub[i]), uint64(g.B2))
+		inRange := obliv.LtU64(uint64(cand.Sub[i]), uint64(g.B2))
 		keep2[i] &= inRange
-		lost += int(work2.Tag[i] & obliv.Not(keep2[i]))
+		lost += int(cand.Tag[i] & obliv.Not(keep2[i]))
 	}
 	if lost > 0 {
 		return fmt.Errorf("%w: tier-2 bucket exceeded by %d", ErrOverflow, lost)
 	}
-	obliv.Compact(work2, keep2)
-	t.Tier2.CopyPrefix(work2)
-	t.Tier2.Rec = p.Rec
+	// Every real row is kept, and the sentinel rows sort last, so the real
+	// rows are a prefix.
+	place(t.Tier2, cand, nReal, g.Z2, rec, sc)
 	return nil
 }
 
-// copyColumns copies src into dst (equal geometry) without allocating.
-func copyColumns(dst, src *store.Requests) {
-	copy(dst.Op, src.Op)
-	copy(dst.Key, src.Key)
-	copy(dst.Sub, src.Sub)
-	copy(dst.Tag, src.Tag)
-	copy(dst.Aux, src.Aux)
-	copy(dst.Seq, src.Seq)
-	copy(dst.Client, src.Client)
-	copy(dst.Data, src.Data)
+// place routes the first k (secret) rows of src — sorted by (Sub, Key), at
+// most z per Sub — into tier's bucket slots: the r-th row of bucket b lands
+// in slot b·z + r. tier must be zeroed. Empty slots get padding rows (Tag 0,
+// pad key, zeroed fields and data), so no request field lingers where the
+// expansion passed; every slot's Sub is its bucket.
+func place(tier, src *store.Requests, k uint64, z int, rec *trace.Recorder, sc *scratch) {
+	m := tier.Len()
+	c := minInt(src.Len(), m) // k <= c: at most z real rows per bucket
+	live, dist := sc.live[:m], sc.dist[:m]
+	// dist[:c] = rank within the run of equal Sub (live is scratch here).
+	markRuns(src.Sub[:c], z, live[:c], dist[:c])
+	tier.Rec = rec
+	for i := 0; i < m; i++ {
+		tier.Key[i] = padKey(uint64(i))
+		l := obliv.LtU64(uint64(i), k)
+		live[i] = l
+		if i < c {
+			tier.OCopyRowFrom(l, i, src, i)
+			dist[i] = uint64(src.Sub[i])*uint64(z) + dist[i] - uint64(i)
+		}
+		dist[i] &= obliv.Mask64(l)
+	}
+	obliv.Expand(tier, live, dist)
+	for i := range tier.Sub {
+		tier.Sub[i] = uint32(i / z)
+	}
 }
 
 // Buckets returns the row ranges [lo1,hi1) in Tier1 and [lo2,hi2) in Tier2
@@ -274,9 +273,10 @@ func (t *Table) Extract() *store.Requests {
 	return all
 }
 
-// markRuns sets keep[i] = 1 iff the rank of row i within its run of equal
-// Sub values is below z. Branch-free: run boundaries and ranks are secret.
-func markRuns(sub []uint32, z int, keep []uint8) {
+// markRuns sets rank[i] to the rank of row i within its run of equal Sub
+// values and keep[i] = 1 iff that rank is below z. Branch-free: run
+// boundaries and ranks are secret.
+func markRuns(sub []uint32, z int, keep []uint8, rank []uint64) {
 	var cnt uint64
 	prev := ^uint64(0)
 	for i := range sub {
@@ -284,6 +284,7 @@ func markRuns(sub []uint32, z int, keep []uint8) {
 		newRun := obliv.NeqU64(s, prev)
 		cnt = obliv.SelectU64(newRun, cnt, 0)
 		keep[i] = obliv.LtU64(cnt, uint64(z))
+		rank[i] = cnt
 		cnt++
 		prev = s
 	}

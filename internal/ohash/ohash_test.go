@@ -252,6 +252,9 @@ func TestBuilderMatchesBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d n=%d: %v", trial, n, err)
 		}
+		if occ1, occ2 := checkSlots(t, tbl); occ1+occ2 != n {
+			t.Fatalf("trial %d: occupancy %d, want %d", trial, occ1+occ2, n)
+		}
 		for i := 0; i < n; i++ {
 			c, tier, slot := findKey(tbl, reqs.Key[i])
 			if c != 1 {

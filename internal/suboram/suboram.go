@@ -353,9 +353,7 @@ func (s *SubORAM) batchAccessLocked(reqs *store.Requests) (*store.Requests, erro
 	var table *ohash.Table
 	var err error
 	if s.cfg.TestHashKeys != nil {
-		hp := s.cfg.Hash
-		hp.Rec = s.cfg.Rec
-		table, err = ohash.BuildWithKeys(reqs, hp, s.cfg.TestHashKeys[0], s.cfg.TestHashKeys[1])
+		table, err = s.builder.BuildWithKeys(reqs, s.cfg.TestHashKeys[0], s.cfg.TestHashKeys[1])
 	} else {
 		table, err = s.builder.Build(reqs)
 	}

@@ -79,4 +79,9 @@ go test -race -timeout 15m -count=2 \
 go test -race -timeout 15m -count=2 \
   -run 'TestJournalTrace' \
   ./internal/trace/
+
+# Fixed fuzzing budget for the oblivious expansion behind hash-table bin
+# placement: every decoded (length, destination set) must land each live
+# element on its slot with a content-independent swap schedule.
+go test -run '^$' -fuzz '^FuzzExpand$' -fuzztime=15s ./internal/obliv/
 echo "check.sh: OK"
