@@ -1,12 +1,14 @@
-// The -lbtree mode benchmarks the hierarchical load-balancer plane against
-// the monolithic one it replaces: the same R requests are batched by a
-// monolithic balancer (one oblivious O(m log² m) sort) and by aggregation
-// trees of 1, 2, 4 and 8 leaves (per-leaf sorts of R/L plus the root's
-// O(m log m) merge of already-sorted runs). The report records measured wall
-// time and steady-state allocations per MakeBatches, alongside the exact
-// compare-exchange counts of the root-level oblivious work — the merge must
-// strictly undercut the monolithic sort from 4 leaves on, with zero
-// steady-state allocations at every level.
+// The -lbtree mode benchmarks the load-balancer plane against its reference:
+// the same R requests are batched by the one-feed LoadBalancer.MakeBatches
+// ("monolithic": one oblivious O(m log² m) sort; the reference, not a
+// shipped plane) and by aggregation trees of 1, 2, 4 and 8 leaves (per-leaf
+// sorts of R/L plus, from 2 leaves on, the root's O(m log m) merge of
+// already-sorted runs; a 1-leaf tree's run is the batch set, so its root does
+// nothing). The report records measured wall time and steady-state
+// allocations per MakeBatches, alongside the exact compare-exchange counts of
+// the root-level oblivious work — the merge must strictly undercut the
+// reference sort from 4 leaves on, with zero steady-state allocations at
+// every level.
 package main
 
 import (
@@ -31,8 +33,9 @@ type lbtreeEntry struct {
 	BOp      int64 `json:"b_op"`
 	AllocsOp int64 `json:"allocs_op"`
 	// RootCompareExchanges is the oblivious work done at the root level:
-	// the full sort for the monolithic balancer, the merge of per-leaf
-	// sorted runs for a tree. A pure function of public parameters.
+	// the full sort for the reference build, the merge of per-leaf sorted
+	// runs for a tree (zero at 1 leaf). A pure function of public
+	// parameters.
 	RootCompareExchanges int `json:"root_compare_exchanges"`
 	// RootFractionOfMonolithicSort = RootCompareExchanges / monolithic
 	// sort compare-exchanges; < 1 means the merge beats the re-sort.
@@ -50,7 +53,7 @@ type lbtreeReport struct {
 	Tree       []lbtreeEntry `json:"tree"`
 }
 
-// runLBTree benchmarks monolithic vs tree batch formation and writes the
+// runLBTree benchmarks reference vs tree batch formation and writes the
 // comparison to path (results/BENCH_lbtree.json via scripts/bench.sh).
 func runLBTree(path string) error {
 	const (
@@ -112,7 +115,10 @@ func runLBTree(path string) error {
 
 	for _, leaves := range []int{1, 2, 4, 8} {
 		feeds, rates := splitLBTreeFeeds(all, leaves, block)
-		rootCX := obliv.MergeSortedCost(loadbalancer.TreeRunLens(rates, subs, lambda))
+		rootCX := 0 // one leaf: no root merge
+		if leaves > 1 {
+			rootCX = obliv.MergeSortedCost(loadbalancer.TreeRunLens(rates, subs, lambda))
+		}
 		res := testing.Benchmark(func(b *testing.B) {
 			c := cfg
 			c.Pool = arena.NewPool()

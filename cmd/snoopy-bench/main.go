@@ -124,7 +124,7 @@ func main() {
 	trafficKnee := flag.Bool("knee", true, "with -traffic: calibrate, predict capacity (planner + simnet), and sweep rates for the sustained-throughput knee")
 	trafficBaseline := flag.String("baseline", "", "with -traffic: committed baseline report; fail if p99 at the reference load regresses >10%")
 	segstoreOut := flag.String("segstore", "", "instead of a figure, compare memory-resident vs disk-resident (internal/segstore) scan throughput across segment sizes and write the comparison to this JSON file")
-	lbtreeOut := flag.String("lbtree", "", "instead of a figure, benchmark the monolithic load balancer against 1/2/4/8-leaf aggregation trees and write the comparison to this JSON file")
+	lbtreeOut := flag.String("lbtree", "", "instead of a figure, benchmark the reference one-feed load balancer against 1/2/4/8-leaf aggregation trees and write the comparison to this JSON file")
 	flag.Parse()
 
 	if *traffic != "" {

@@ -23,7 +23,7 @@ func main() {
 	subPrice := flag.Float64("sub-price", 420, "subORAM node $/month")
 	maxLB := flag.Int("max-lb", 10, "search bound: load balancers")
 	maxSub := flag.Int("max-sub", 40, "search bound: subORAMs")
-	maxLeaves := flag.Int("max-leaves", 8, "search bound: leaf load balancers per plane (1 = monolithic only)")
+	maxLeaves := flag.Int("max-leaves", 8, "search bound: leaf load balancers per plane (1 = single-leaf planes only)")
 	flag.Parse()
 
 	fmt.Println("calibrating component costs on this machine...")

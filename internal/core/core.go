@@ -71,12 +71,12 @@ type Config struct {
 	BlockSize int
 	// NumLoadBalancers is L.
 	NumLoadBalancers int
-	// LBLeaves, when > 1, replaces each monolithic load balancer with a
-	// two-level oblivious aggregation tree: that many leaf balancers each
-	// sort + locally deduplicate their own clients' requests, and a root
-	// merges the already-sorted runs (O(n log n) instead of a fresh
-	// O(n log² n) sort). 0 or 1 keeps the single-balancer plane. The tree
-	// shape is public deployment configuration.
+	// LBLeaves is the leaf count of each load-balancer plane's oblivious
+	// aggregation tree: that many leaf balancers each sort + locally
+	// deduplicate their own clients' requests, and a root merges the
+	// already-sorted runs (O(n log n) instead of a fresh O(n log² n) sort).
+	// 0/1 = one leaf, no root merge: the leaf's sort is the whole plane.
+	// The tree shape is public deployment configuration.
 	LBLeaves int
 	// LBFanIn caps the root's merge fan-in (defaults to LBLeaves). Public.
 	LBFanIn int
@@ -248,11 +248,10 @@ type pending struct {
 }
 
 type lbState struct {
-	bal loadbalancer.Balancer
+	bal *loadbalancer.Tree
 
 	mu sync.Mutex
-	// queues holds one pending-request queue per feed: the monolithic
-	// balancer has a single feed, an aggregation tree one per leaf. Clients
+	// queues holds one pending-request queue per feed (tree leaf). Clients
 	// are pinned to a (plane, feed) pair at submit, so a dead leaf fails
 	// only its own clients.
 	queues [][]pending
@@ -282,9 +281,8 @@ type HealthStats struct {
 	Repairing []bool
 	// LeafConsecutiveFailures[g] is the current run of epochs in which load
 	// balancer feed g (global index plane*feedsPerPlane+leaf) failed to
-	// build its run; zero-length when the plane is monolithic. A cluster
-	// supervisor watches these to trip leaf-level repair (ResetLeaf or a
-	// replacement RemoteLeaf).
+	// build its run. A cluster supervisor watches these to trip leaf-level
+	// repair (ResetLeaf or a replacement RemoteLeaf).
 	LeafConsecutiveFailures []int
 	// LeafTotalFailures[g] counts every epoch in which feed g failed.
 	LeafTotalFailures []uint64
@@ -316,9 +314,9 @@ func (h HealthStats) Healthy() bool {
 type System struct {
 	cfg Config
 	lbs []*lbState
-	// feedsPerPlane is Balancer.Feeds() of every plane (identical across
-	// planes: one for monolithic, LBLeaves for a tree). Global feed index
-	// g = plane*feedsPerPlane + feed addresses job.queues and leaf health.
+	// feedsPerPlane is every plane's leaf count, max(LBLeaves, 1). Global
+	// feed index g = plane*feedsPerPlane + feed addresses job.queues and
+	// leaf health.
 	feedsPerPlane int
 
 	// subsMu guards element swaps in subs: automatic failover (repair)
@@ -593,33 +591,25 @@ func NewWithSubORAMs(cfg Config, subs []SubORAMClient) (*System, error) {
 		Telemetry:   cfg.Telemetry,
 	}
 	for i := 0; i < cfg.NumLoadBalancers; i++ {
-		var bal loadbalancer.Balancer
-		if cfg.LBLeaves > 1 {
-			tree, err := loadbalancer.NewTree(loadbalancer.TreeConfig{
-				Config: lbCfg,
-				Leaves: cfg.LBLeaves,
-				FanIn:  cfg.LBFanIn,
-				Plane:  i,
-			}, key)
-			if err != nil {
-				return nil, err
-			}
-			bal = tree
-		} else {
-			bal = loadbalancer.Monolithic{LB: loadbalancer.New(lbCfg, key)}
+		tree, err := loadbalancer.NewTree(loadbalancer.TreeConfig{
+			Config: lbCfg,
+			Leaves: max(cfg.LBLeaves, 1),
+			FanIn:  cfg.LBFanIn,
+			Plane:  i,
+		}, key)
+		if err != nil {
+			return nil, err
 		}
 		sys.lbs = append(sys.lbs, &lbState{
-			bal:    bal,
-			queues: make([][]pending, bal.Feeds()),
+			bal:    tree,
+			queues: make([][]pending, tree.Feeds()),
 		})
 	}
 	sys.feedsPerPlane = sys.lbs[0].bal.Feeds()
-	if cfg.LBLeaves > 1 {
-		cfg.Telemetry.Gauge("snoopy_config_lb_leaves").Set(int64(sys.feedsPerPlane))
-		totalFeeds := cfg.NumLoadBalancers * sys.feedsPerPlane
-		sys.health.LeafConsecutiveFailures = make([]int, totalFeeds)
-		sys.health.LeafTotalFailures = make([]uint64, totalFeeds)
-	}
+	cfg.Telemetry.Gauge("snoopy_config_lb_leaves").Set(int64(sys.feedsPerPlane))
+	totalFeeds := cfg.NumLoadBalancers * sys.feedsPerPlane
+	sys.health.LeafConsecutiveFailures = make([]int, totalFeeds)
+	sys.health.LeafTotalFailures = make([]uint64, totalFeeds)
 	depth := min(max(cfg.PipelineDepth, 1), maxPipelineDepth)
 	cfg.Telemetry.Gauge("snoopy_config_pipeline_depth").Set(int64(depth))
 	sys.depthSem = make(chan struct{}, depth)
@@ -797,10 +787,10 @@ func (sys *System) submitID(user uint64, op uint8, key uint64, data []byte, id u
 	if len(data) > sys.cfg.BlockSize {
 		return nil, fmt.Errorf("core: value length %d exceeds block size %d", len(data), sys.cfg.BlockSize)
 	}
-	// Clients pick an ingestion point uniformly (paper §4.3). With a tree
-	// plane the choice is over feeds — (plane, leaf) pairs — which the
-	// network adversary observes anyway; with monolithic planes this is the
-	// original uniform plane choice, same rng draw sequence.
+	// Clients pick an ingestion point uniformly (paper §4.3): the choice is
+	// over feeds — (plane, leaf) pairs — which the network adversary
+	// observes anyway; with one leaf per plane this is the original uniform
+	// plane choice, same rng draw sequence.
 	sys.rngMu.Lock()
 	g := sys.rng.Intn(len(sys.lbs) * sys.feedsPerPlane)
 	sys.rngMu.Unlock()
@@ -867,9 +857,8 @@ func (sys *System) WriteAsync(key uint64, value []byte) (func() ([]byte, bool, e
 // batch storage to the arena as soon as the subORAMs are done with it,
 // while stage C still has the numbers for stats.
 type lbEpoch struct {
-	// feedReqs holds the per-feed request snapshots (one for a monolithic
-	// plane, one per leaf for a tree); stage C matches each feed's
-	// responses against its own snapshot.
+	// feedReqs holds the per-feed request snapshots, one per leaf; stage C
+	// matches each feed's responses against its own snapshot.
 	feedReqs []*store.Requests
 	batches  *loadbalancer.Batches
 	// feedErrs, when non-nil, carries per-feed (leaf) failures: feed f's
@@ -1140,9 +1129,6 @@ func (sys *System) stageA() *epochJob {
 // HealthStats so a cluster supervisor can trip leaf-level repair. Stage A
 // runs under epochMu, so consecutive-failure runs are well defined.
 func (sys *System) observeLeafHealth(job *epochJob) {
-	if len(sys.health.LeafConsecutiveFailures) == 0 {
-		return
-	}
 	F := sys.feedsPerPlane
 	sys.statsMu.Lock()
 	for i := range sys.lbs {
@@ -1601,36 +1587,26 @@ func (sys *System) NumSubORAMs() int { return len(sys.subs) }
 func (sys *System) NumLoadBalancers() int { return len(sys.lbs) }
 
 // FeedsPerPlane returns the number of independent request-ingestion points
-// per load-balancer plane: 1 for a monolithic plane, LBLeaves for a tree.
+// per load-balancer plane: its leaf count, max(Config.LBLeaves, 1).
 func (sys *System) FeedsPerPlane() int { return sys.feedsPerPlane }
 
 // SubORAMFor returns the partition storing id (the oblivious routing is
 // shared across planes).
 func (sys *System) SubORAMFor(id uint64) int { return sys.lbs[0].bal.SubORAMFor(id) }
 
-// LoadBalancerTree returns plane's aggregation tree, or nil when the plane
-// is monolithic (Config.LBLeaves <= 1). Cluster supervisors use it to swap
-// a tripped leaf for a replacement.
-func (sys *System) LoadBalancerTree(plane int) *loadbalancer.Tree {
-	t, _ := sys.lbs[plane].bal.(*loadbalancer.Tree)
-	return t
-}
+// LoadBalancerTree returns plane's aggregation tree (never nil; one leaf
+// when Config.LBLeaves <= 1). Cluster supervisors use it to swap a tripped
+// leaf for a replacement.
+func (sys *System) LoadBalancerTree(plane int) *loadbalancer.Tree { return sys.lbs[plane].bal }
 
 // ResetLeaf replaces a tripped leaf balancer on plane with a fresh local
 // one — the leaf-level analogue of partition failover. It also clears the
 // feed's consecutive-failure run so health converges once the replacement
-// serves. No-op on a monolithic plane.
+// serves.
 func (sys *System) ResetLeaf(plane, leaf int) {
-	t := sys.LoadBalancerTree(plane)
-	if t == nil {
-		return
-	}
-	t.ResetLeaf(leaf)
+	sys.lbs[plane].bal.ResetLeaf(leaf)
 	sys.statsMu.Lock()
-	g := plane*sys.feedsPerPlane + leaf
-	if g < len(sys.health.LeafConsecutiveFailures) {
-		sys.health.LeafConsecutiveFailures[g] = 0
-	}
+	sys.health.LeafConsecutiveFailures[plane*sys.feedsPerPlane+leaf] = 0
 	sys.statsMu.Unlock()
 }
 

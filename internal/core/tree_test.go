@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"snoopy/internal/loadbalancer"
 	"snoopy/internal/store"
+	"snoopy/internal/telemetry"
 )
 
 // failLeaf is a LeafBalancer stub whose BuildRun always fails — the
@@ -146,9 +148,18 @@ func TestTreeInvalidFanInRejected(t *testing.T) {
 // leaf of the aggregation tree dead, exactly the clients assigned to that
 // leaf fail — with the leaf's error, in the same epoch — while every other
 // client completes normally, and the failure shows up in HealthStats for a
-// supervisor to act on. ResetLeaf then repairs the plane in place.
+// supervisor to act on. ResetLeaf then repairs the plane in place. The
+// single-leaf plane (the default shape) is one more input: its only leaf
+// dies, so every client fails, and the same repair path applies.
 func TestTreeLeafKillFailsOnlyItsClients(t *testing.T) {
-	const leaves = 4
+	for _, tc := range []struct{ leaves, dead int }{{4, 2}, {1, 0}} {
+		t.Run(fmt.Sprintf("leaves=%d", tc.leaves), func(t *testing.T) {
+			testLeafKill(t, tc.leaves, tc.dead)
+		})
+	}
+}
+
+func testLeafKill(t *testing.T, leaves, dead int) {
 	const seed = 1
 	sys := startSystem(t, Config{
 		NumLoadBalancers: 1, NumSubORAMs: 3, LBLeaves: leaves,
@@ -171,12 +182,12 @@ func TestTreeLeafKillFailsOnlyItsClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const dead = 2
 	tree := sys.LoadBalancerTree(0)
 	if tree == nil {
-		t.Fatal("LoadBalancerTree returned nil for a tree plane")
+		t.Fatal("LoadBalancerTree returned nil")
 	}
-	tree.ReplaceLeaf(dead, failLeaf{msg: "injected: leaf 2 down"})
+	downMsg := fmt.Sprintf("leaf %d down", dead)
+	tree.ReplaceLeaf(dead, failLeaf{msg: "injected: " + downMsg})
 
 	const n = 48
 	fns := make([]func() ([]byte, bool, error), n)
@@ -194,7 +205,7 @@ func TestTreeLeafKillFailsOnlyItsClients(t *testing.T) {
 		v, found, err := fns[i]()
 		if feeds[i] == dead {
 			onDead++
-			if err == nil || !strings.Contains(err.Error(), "leaf 2 down") {
+			if err == nil || !strings.Contains(err.Error(), downMsg) {
 				t.Fatalf("request %d on dead leaf: err=%v, want injected leaf error", i, err)
 			}
 			continue
@@ -224,8 +235,15 @@ func TestTreeLeafKillFailsOnlyItsClients(t *testing.T) {
 		t.Fatalf("dead leaf not reflected in health: %+v", h)
 	}
 
-	// Repair in place and verify the plane fully recovers.
+	// Repair in place: a fresh leaf serves and the feed's failure run is
+	// cleared at once, before any further epoch.
 	sys.ResetLeaf(0, dead)
+	if _, fresh := tree.Leaf(dead).(*loadbalancer.Leaf); !fresh {
+		t.Fatalf("ResetLeaf left %T serving leaf %d", tree.Leaf(dead), dead)
+	}
+	if c := sys.Health().LeafConsecutiveFailures[dead]; c != 0 {
+		t.Fatalf("ResetLeaf left a failure run of %d on feed %d", c, dead)
+	}
 	for i := 0; i < n; i++ {
 		fns[i], err = sys.ReadAsync(uint64(i))
 		if err != nil {
@@ -241,5 +259,34 @@ func TestTreeLeafKillFailsOnlyItsClients(t *testing.T) {
 	}
 	if h := sys.Health(); !h.Healthy() {
 		t.Fatalf("health did not converge after ResetLeaf: %+v", h)
+	}
+}
+
+// TestLBMakeBatchObservedEveryShape: the plane records lb_make_batch once per
+// epoch (covering its whole build) and exports its leaf count at every tree
+// shape, the single-leaf default included.
+func TestLBMakeBatchObservedEveryShape(t *testing.T) {
+	const epochs = 5
+	for _, leaves := range []int{1, 4} {
+		reg := telemetry.NewRegistry()
+		sys := startSystem(t, Config{
+			NumLoadBalancers: 1, NumSubORAMs: 2, LBLeaves: leaves, Telemetry: reg,
+		}, 16)
+		for e := 0; e < epochs; e++ {
+			get, err := sys.ReadAsync(uint64(e))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Flush()
+			if _, _, err := get(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := reg.Histogram("lb_make_batch", nil).Count(); got != epochs {
+			t.Fatalf("LBLeaves=%d: lb_make_batch observed %d times over %d epochs", leaves, got, epochs)
+		}
+		if got := reg.Gauge("snoopy_config_lb_leaves").Value(); got != int64(leaves) {
+			t.Fatalf("LBLeaves=%d: snoopy_config_lb_leaves = %d", leaves, got)
+		}
 	}
 }

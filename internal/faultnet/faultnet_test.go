@@ -41,7 +41,11 @@ func TestNoFaultsPassThrough(t *testing.T) {
 	c, s := pipePair(t)
 	fc := Wrap(c, NoFaults(), NoFaults())
 	msg := []byte("hello, faultnet")
-	go fc.Write(msg)
+	wrote := make(chan struct{})
+	go func() {
+		fc.Write(msg)
+		close(wrote)
+	}()
 	got := make([]byte, len(msg))
 	if _, err := io.ReadFull(s, got); err != nil {
 		t.Fatal(err)
@@ -49,6 +53,8 @@ func TestNoFaultsPassThrough(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("got %q", got)
 	}
+	// The peer can finish reading before Write advances the offset.
+	<-wrote
 	if fc.WriteOffset() != int64(len(msg)) {
 		t.Fatalf("write offset %d", fc.WriteOffset())
 	}

@@ -7,6 +7,12 @@
 // Load balancers are stateless between epochs and share only the long-term
 // keyed hash key that assigns objects to subORAMs, so any number of them
 // can run independently and in parallel (§4.3).
+//
+// A deployment's load-balancer plane is a Tree: one or more leaves, each
+// building its own feed's run with the LoadBalancer primitive below, and
+// with several leaves a root that merges the runs. LoadBalancer.MakeBatches
+// is the one-feed form of the same build — the reference a tree's output is
+// tested against and the unit the planner and benchmarks price.
 package loadbalancer
 
 import (
@@ -146,11 +152,11 @@ type Batches struct {
 	// key is absent from the batches, so every feed that requested it is
 	// affected.
 	DroppedKeys []uint64
-	// DroppedByFeed, set only by the tree balancer, holds leaf-local
+	// DroppedByFeed, set only by a multi-leaf Tree, holds leaf-local
 	// overflow victims per feed: a key dropped at leaf f may still have
 	// been served via another leaf, so only feed f's requests for it fail.
-	// nil for monolithic balancers and in the (overwhelmingly common)
-	// no-overflow case.
+	// nil for one-feed builds (LoadBalancer.MakeBatches, a single-leaf
+	// Tree) and in the (overwhelmingly common) no-overflow case.
 	DroppedByFeed [][]uint64
 
 	pool *arena.Pool
@@ -188,8 +194,8 @@ func (b *Batches) Release() {
 // appended per subORAM, the whole obliviously sorted by (subORAM, key,
 // write-first, seq-desc), locally deduplicated to the first α distinct keys
 // per subORAM, compacted, and resized to exactly α·S rows. This is both the
-// body of the monolithic MakeBatches (seqBase 0) and the per-leaf stage of
-// the aggregation tree — a leaf's output run is literally a valid batch set,
+// body of MakeBatches (seqBase 0) and the per-leaf stage of the aggregation
+// tree — a leaf's output run is literally a valid batch set,
 // which is what makes the root's merge-of-runs sound.
 //
 // Returns the pooled α·S-row run (caller releases it to lb's pool) and the
@@ -238,8 +244,8 @@ func (lb *LoadBalancer) buildRun(reqs *store.Requests, alpha int, seqBase uint64
 // dedupeKeep marks, branch-free, the first α distinct keys of each subORAM
 // group of the (sub, key, write-first, seq-desc)-sorted work into keep, and
 // the distinct real keys that did not fit — Theorem-3 overflow victims —
-// into drop. Shared by the monolithic balancer, the tree's leaves, and the
-// tree's root (where work is the merge of the leaf runs and duplicate keys
+// into drop. Shared by the one-feed build (MakeBatches and every tree leaf)
+// and a multi-leaf tree's root (where work is the merge of the leaf runs and duplicate keys
 // span leaves). Returns the victim count and keys.
 func dedupeKeep(work *store.Requests, alpha int, keep, drop []uint8) (int, []uint64) {
 	dropped := 0

@@ -28,10 +28,11 @@ type LeafBalancer interface {
 }
 
 // Leaf is the in-process LeafBalancer: a stateless oblivious sorter sharing
-// the deployment's routing key. Its run construction is exactly the
-// monolithic batch build (sort, keep-first-α-distinct-per-subORAM, compact,
-// pad), so a leaf run is itself a valid batch set for the aggregate rate —
-// the invariant the root's merge relies on.
+// the deployment's routing key. Its run construction is exactly
+// LoadBalancer.MakeBatches's batch build (sort, keep-first-α-distinct-per-
+// subORAM, compact, pad), so a leaf run is itself a valid batch set for its
+// feed's rate — the invariant the root's merge relies on, and the reason a
+// single-leaf tree needs no root stage at all.
 type Leaf struct {
 	lb    *LoadBalancer
 	index int
@@ -76,8 +77,8 @@ func (lf *Leaf) BuildRun(_ uint64, reqs *store.Requests, alpha int, seqBase uint
 // TreeConfig configures a two-level aggregation tree plane.
 type TreeConfig struct {
 	Config
-	// Leaves is the number of leaf load balancers (≥ 1). Leaves == 1
-	// degenerates to a monolithic plane with one extra copy.
+	// Leaves is the number of leaf load balancers; 0 or 1 means one leaf,
+	// whose run is the batch set itself (no root merge).
 	Leaves int
 	// FanIn caps how many leaf runs the root merges in one epoch; a
 	// two-level tree requires Leaves ≤ FanIn. Zero defaults to Leaves.
@@ -89,13 +90,17 @@ type TreeConfig struct {
 	Plane int
 }
 
-// Tree is the two-level oblivious aggregation tree: Leaves leaf balancers
-// each sort + locally dedupe their own feed, and the root merges the
-// already-sorted runs with obliv.MergeSorted — O(n log n) instead of the
-// monolithic re-sort's O(n log² n) — then performs global dedupe and
-// Theorem-3 padding for the aggregate rate. The schedule (run lengths,
-// merge network, batch size) is a function of public (R, S, Leaves, FanIn,
-// λ) only.
+// Tree is a load-balancer plane: Leaves leaf balancers each sort + locally
+// dedupe their own feed, and with more than one leaf the root merges the
+// already-sorted runs with obliv.MergeSorted — O(n log n) instead of a
+// fresh O(n log² n) sort of the whole epoch — then performs global dedupe
+// and Theorem-3 padding for the aggregate rate. With one leaf the leaf's run
+// is the batch set (the single oblivious sort of paper Fig. 5) and the root
+// does nothing. A feed is one independent request-ingestion point, one per
+// leaf; the caller keeps one client queue per feed so a dead leaf fails only
+// its own clients. The schedule (run lengths, merge network, batch size) is
+// a function of public (R, S, Leaves, FanIn, λ) only: the one branch on the
+// leaf count is on public configuration.
 type Tree struct {
 	cfg  TreeConfig
 	key  crypt.Key
@@ -120,6 +125,7 @@ type Tree struct {
 	leafErrs []error
 
 	// Telemetry instruments, resolved once at construction; nil-safe.
+	telMakeBatch *telemetry.Histogram
 	telRootMerge *telemetry.Histogram
 	telMerges    *telemetry.Counter
 	telBatches   *telemetry.Counter
@@ -153,6 +159,7 @@ func NewTree(cfg TreeConfig, key crypt.Key) (*Tree, error) {
 		leafKeys: make([][]uint64, cfg.Leaves),
 		leafErrs: make([]error, cfg.Leaves),
 
+		telMakeBatch: cfg.Telemetry.Histogram("lb_make_batch", nil),
 		telRootMerge: cfg.Telemetry.Histogram("lb_root_merge", nil),
 		telMerges:    cfg.Telemetry.Counter("lb_root_merges_total"),
 		telBatches:   cfg.Telemetry.Counter("lb_batches_total"),
@@ -214,10 +221,11 @@ func fillDummyRun(dst *store.Requests, alpha, s int) {
 	}
 }
 
-// TreeRunLens returns the public run-length vector the root merges for an
-// epoch: per-leaf runs of α_f·S for each feed's own rate, plus the root's
-// α·S dummy run for the aggregate rate. Exported for the planner's cost
-// model (obliv.MergeSortedCost over exactly this vector) — the vector is a
+// TreeRunLens returns the public run-length vector a multi-leaf root merges
+// for an epoch: per-leaf runs of α_f·S for each feed's own rate, plus the
+// root's α·S dummy run for the aggregate rate (a single leaf's run is merged
+// with nothing). Exported for the planner's cost model
+// (obliv.MergeSortedCost over exactly this vector) — the vector is a
 // function of public configuration and the public per-feed rates alone.
 func TreeRunLens(feedRates []int, s, lambda int) []int {
 	runs := make([]int, len(feedRates)+1)
@@ -255,11 +263,18 @@ func (t *Tree) runLeaf(f int, epoch uint64, reqs *store.Requests, work *store.Re
 	}
 }
 
-// MakeBatches implements Balancer: leaves build their runs (in parallel
-// unless SortWorkers == 1), the root merges them with obliv.MergeSorted and
-// applies global dedupe + Theorem-3 padding for the aggregate rate R.
+// MakeBatches builds one epoch's per-subORAM batches from the per-feed
+// request snapshots, one per leaf (len(feeds) == Feeds()). Leaves build
+// their runs (in parallel unless SortWorkers == 1 or there is one leaf); the
+// root merges them with obliv.MergeSorted and applies global dedupe +
+// Theorem-3 padding for the aggregate rate R. epoch tags telemetry spans (0
+// is fine outside an epoch loop). feedErrs isolates per-leaf failures: feed
+// f's requests are absent from the batches iff feedErrs[f] != nil, and the
+// rest of the epoch proceeds — the caller fails only that feed's requests.
+// err reports a plane-wide failure (no batches).
 func (t *Tree) MakeBatches(epoch uint64, feeds []*store.Requests) (*Batches, []error, error) {
 	t0 := time.Now()
+	tt0 := t.cfg.Telemetry.Now()
 	L := len(t.leaves)
 	if len(feeds) != L {
 		return nil, nil, fmt.Errorf("loadbalancer: tree got %d feeds, has %d leaves", len(feeds), L)
@@ -274,11 +289,11 @@ func (t *Tree) MakeBatches(epoch uint64, feeds []*store.Requests) (*Batches, []e
 		r += q.Len()
 	}
 	// Theorem-3 padding: each leaf pads to its own rate's bound α_f (its run
-	// is a valid batch set for its feed), and the root contributes an α·S
-	// all-dummy run sized for the aggregate rate — the padding reservoir
-	// that lets global dedupe always retain exactly α rows per subORAM.
-	// The aggregate bound is the monolithic bound: aggregation must not
-	// weaken the overflow guarantee.
+	// is a valid batch set for its feed), and with several leaves the root
+	// contributes an α·S all-dummy run sized for the aggregate rate — the
+	// padding reservoir that lets global dedupe always retain exactly α rows
+	// per subORAM. The aggregate bound is the single-feed bound: aggregation
+	// must not weaken the overflow guarantee.
 	alpha := batch.Size(r, s, t.cfg.Lambda)
 	if alpha == 0 {
 		alpha = 1
@@ -294,8 +309,10 @@ func (t *Tree) MakeBatches(epoch uint64, feeds []*store.Requests) (*Batches, []e
 		t.runLens[f] = af * s
 		total += af * s
 	}
-	t.runLens[L] = runLen
-	total += runLen
+	if L > 1 {
+		t.runLens[L] = runLen
+		total += runLen
+	}
 
 	pool := t.root.pool()
 	work := pool.GetRequests(total, t.cfg.BlockSize)
@@ -303,9 +320,9 @@ func (t *Tree) MakeBatches(epoch uint64, feeds []*store.Requests) (*Batches, []e
 
 	// Leaf stage: each leaf writes its α_f·S run into its public segment of
 	// the merge scratch. SortWorkers == 1 keeps the build serial (the
-	// zero-alloc guard path, matching the monolithic convention); otherwise
-	// leaves run concurrently.
-	if t.cfg.SortWorkers == 1 {
+	// zero-alloc guard path); a single leaf always runs on this goroutine;
+	// otherwise leaves run concurrently.
+	if L == 1 || t.cfg.SortWorkers == 1 {
 		lo := 0
 		for f := 0; f < L; f++ {
 			t.runLeaf(f, epoch, feeds[f], work, lo)
@@ -335,34 +352,70 @@ func (t *Tree) MakeBatches(epoch uint64, feeds []*store.Requests) (*Batches, []e
 	// Rare paths allocate; the steady state (no leaf failures, no overflow)
 	// leaves feedErrs and droppedByFeed nil.
 	var feedErrs []error
-	var droppedByFeed [][]uint64
 	if anyErr {
 		feedErrs = make([]error, L)
 		copy(feedErrs, t.leafErrs)
 	}
-	if anyDrop {
-		droppedByFeed = make([][]uint64, L)
-		copy(droppedByFeed, t.leafKeys)
+	var droppedKeys []uint64
+	var droppedByFeed [][]uint64
+	if L == 1 {
+		// One leaf: α_0 = α, so its run already is the batch set — sorted,
+		// deduped to the first α distinct keys per subORAM and padded with
+		// exactly the dummy keys the root would add. The merge would change
+		// nothing, and the leaf's overflow victims are global ones: no other
+		// leaf can serve them.
+		droppedKeys = t.leafKeys[0]
+	} else {
+		if anyDrop {
+			droppedByFeed = make([][]uint64, L)
+			copy(droppedByFeed, t.leafKeys)
+		}
+		var rootDropped int
+		rootDropped, droppedKeys = t.mergeRuns(epoch, work, alpha)
+		dropped += rootDropped
 	}
 	for f := 0; f < L; f++ {
 		t.leafErrs[f], t.leafKeys[f] = nil, nil
 	}
 
-	// Root stage: write the padding-reservoir dummy run, merge the L+1
-	// already-sorted runs (O(n log n) — the whole point of the tree), then
-	// the same global dedupe + keep-first-α scan as the monolithic balancer.
-	// Duplicate keys across leaves — real and dummy alike (each leaf's dummy
-	// keys are a prefix of the root's) — collapse here; every subORAM group
-	// retains exactly α rows because the dummy run alone offers α distinct
-	// keys per subORAM.
+	b := batchesPool.Get().(*Batches)
+	*b = Batches{
+		All: work, PerSub: alpha,
+		Dropped: dropped, DroppedKeys: droppedKeys, DroppedByFeed: droppedByFeed,
+		pool: pool,
+	}
+
+	t.statsMu.Lock()
+	t.last.MakeBatch = time.Since(t0)
+	t.statsMu.Unlock()
+	// Fires once per call at every leaf count: the duration is adversary-
+	// visible timing, and the overflow count is already public.
+	t.telMakeBatch.Observe(time.Duration(t.cfg.Telemetry.Now() - tt0))
+	t.telBatches.Inc()
+	t.telDropped.Add(uint64(dropped))
+	return b, feedErrs, nil
+}
+
+// mergeRuns is the root stage of a multi-leaf epoch: it writes the padding-
+// reservoir dummy run into work's last α·S rows, merges the L+1
+// already-sorted runs (O(n log n) — the whole point of the tree), then runs
+// the same global dedupe + keep-first-α scan as a single leaf and shrinks
+// work to the α·S batch set. Duplicate keys across leaves — real and dummy
+// alike (each leaf's dummy keys are a prefix of the root's) — collapse here;
+// every subORAM group retains exactly α rows because the dummy run alone
+// offers α distinct keys per subORAM. Returns the global overflow victims.
+func (t *Tree) mergeRuns(epoch uint64, work *store.Requests, alpha int) (int, []uint64) {
+	runLen := alpha * t.cfg.NumSubORAMs
+	total := work.Len()
 	tr0 := t.cfg.Telemetry.Now()
-	rootRun := &t.views[L]
+	rootRun := &t.views[len(t.leaves)]
 	work.ViewInto(rootRun, total-runLen, total)
-	fillDummyRun(rootRun, alpha, s)
+	fillDummyRun(rootRun, alpha, t.cfg.NumSubORAMs)
 	obliv.MergeSorted(store.BySubKeyWriteSeq{Requests: work}, t.runLens)
-	keep := pool.GetBits(work.Len())
-	drop := pool.GetBits(work.Len())
-	rootDropped, rootKeys := dedupeKeep(work, alpha, keep, drop)
+	pool := t.root.pool()
+	keep := pool.GetBits(total)
+	drop := pool.GetBits(total)
+	dropped, keys := dedupeKeep(work, alpha, keep, drop)
 	obliv.Compact(work, keep)
 	pool.PutBits(keep)
 	pool.PutBits(drop)
@@ -370,27 +423,16 @@ func (t *Tree) MakeBatches(epoch uint64, feeds []*store.Requests) (*Batches, []e
 	t.telRootMerge.Observe(time.Duration(t.cfg.Telemetry.Now() - tr0))
 	t.telMerges.Inc()
 	t.stRoot.Record(epoch, t.cfg.Plane, runLen, tr0, t.cfg.Telemetry.Now())
-	dropped += rootDropped
-
-	b := batchesPool.Get().(*Batches)
-	*b = Batches{
-		All: work, PerSub: alpha,
-		Dropped: dropped, DroppedKeys: rootKeys, DroppedByFeed: droppedByFeed,
-		pool: pool,
-	}
-
-	t.statsMu.Lock()
-	t.last.MakeBatch = time.Since(t0)
-	t.statsMu.Unlock()
-	t.telBatches.Inc()
-	t.telDropped.Add(uint64(dropped))
-	return b, feedErrs, nil
+	return dropped, keys
 }
 
-// MatchResponses implements Balancer: the α·S response set is fanned back
-// down the tree — each leaf level matches its own feed's original requests
-// against the full (public-shape) response set, in parallel across feeds at
-// the call sites.
+// MatchResponses obliviously matches the epoch's (concatenated healthy)
+// α·S response set back to feed's original request snapshot, returning one
+// row per request with Data/Aux carrying the response: the response set is
+// fanned back down the tree, each leaf matching its own feed's requests
+// against the full (public-shape) set, in parallel across feeds at the call
+// sites. The result is drawn from the arena; the caller owns and releases
+// it.
 func (t *Tree) MatchResponses(epoch uint64, responses *store.Requests, feed int, reqs *store.Requests) (*store.Requests, error) {
 	tl0 := t.cfg.Telemetry.Now()
 	m, err := t.root.MatchResponses(responses, reqs)
@@ -406,8 +448,8 @@ func (t *Tree) Partition(ids []uint64, data []byte) ([][]uint64, [][]byte, error
 	return t.root.Partition(ids, data)
 }
 
-// BatchSize is f(R,S) for the aggregate rate — identical to the monolithic
-// bound by construction.
+// BatchSize is Theorem 3's f(R,S) for the aggregate rate R of the whole
+// plane — identical to the single-feed bound by construction.
 func (t *Tree) BatchSize(r int) int { return t.root.BatchSize(r) }
 
 // LastStats returns the last epoch's timing: the tree-wide batch build

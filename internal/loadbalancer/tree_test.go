@@ -1,7 +1,8 @@
-// Tests for the two-level aggregation tree: equivalence with the monolithic
-// balancer, Theorem-3 bound preservation, overflow-victim attribution,
-// failed-leaf isolation, zero-allocation guards at leaf and root, and the
-// monolithic-vs-tree benchmark behind scripts/bench.sh -lbtree.
+// Tests for the aggregation-tree plane: equivalence with the reference
+// one-feed build (LoadBalancer.MakeBatches, "monolithic" below), Theorem-3
+// bound preservation, overflow-victim attribution, failed-leaf isolation,
+// zero-allocation guards at leaf and root, and the reference-vs-tree
+// benchmark behind scripts/bench.sh -lbtree.
 package loadbalancer
 
 import (
@@ -427,6 +428,63 @@ func TestTreeOverflowLeafVictims(t *testing.T) {
 	b.Release()
 }
 
+// TestTreeSingleLeafOverflowMatchesMakeBatches: a single-leaf plane skips
+// the root, so a Theorem-3 overflow (tiny λ, every key on one subORAM) must
+// look exactly like the one-feed build's: the same Dropped and DroppedKeys
+// as LoadBalancer.MakeBatches on the same requests, as global victims (nil
+// DroppedByFeed — no other leaf could serve them), and identical rows.
+func TestTreeSingleLeafOverflowMatchesMakeBatches(t *testing.T) {
+	const S, n = 4, 300
+	cfg := Config{BlockSize: testBlock, NumSubORAMs: S, Lambda: 4}
+	key := crypt.MustNewKey()
+	lb := New(cfg, key)
+	tree, err := NewTree(TreeConfig{Config: cfg, Leaves: 1}, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alpha := tree.BatchSize(n); alpha >= n {
+		t.Fatalf("α=%d ≥ R=%d: no overflow to compare", alpha, n)
+	}
+	keys := keysInto(tree, 0, n)
+	reqs := store.NewRequests(n, testBlock)
+	for i := 0; i < n; i++ {
+		reqs.SetRow(i, store.OpWrite, keys[i], 0, uint64(i), uint64(i), []byte(fmt.Sprintf("v%d", i)))
+	}
+	bm, err := lb.MakeBatches(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, feedErrs, err := tree.MakeBatches(0, []*store.Requests{reqs})
+	if err != nil || feedErrs != nil {
+		t.Fatal(err, feedErrs)
+	}
+	if bm.Dropped == 0 {
+		t.Fatal("one-feed build dropped nothing; the test needs an overflow")
+	}
+	if bt.Dropped != bm.Dropped || bt.PerSub != bm.PerSub {
+		t.Fatalf("tree dropped %d at α=%d, one-feed build %d at α=%d", bt.Dropped, bt.PerSub, bm.Dropped, bm.PerSub)
+	}
+	if fmt.Sprint(bt.DroppedKeys) != fmt.Sprint(bm.DroppedKeys) {
+		t.Fatalf("DroppedKeys differ:\ntree %v\none-feed %v", bt.DroppedKeys, bm.DroppedKeys)
+	}
+	if bt.DroppedByFeed != nil {
+		t.Fatalf("single-leaf victims reported per feed: %v", bt.DroppedByFeed)
+	}
+	if bt.All.Len() != bm.All.Len() {
+		t.Fatalf("tree has %d rows, one-feed build %d", bt.All.Len(), bm.All.Len())
+	}
+	for i := 0; i < bm.All.Len(); i++ {
+		if bt.All.Key[i] != bm.All.Key[i] || bt.All.Op[i] != bm.All.Op[i] || bt.All.Sub[i] != bm.All.Sub[i] ||
+			bt.All.Seq[i] != bm.All.Seq[i] || bt.All.Client[i] != bm.All.Client[i] ||
+			!bytes.Equal(bt.All.Block(i), bm.All.Block(i)) {
+			t.Fatalf("row %d: tree key=%#x op=%d sub=%d vs one-feed key=%#x op=%d sub=%d",
+				i, bt.All.Key[i], bt.All.Op[i], bt.All.Sub[i], bm.All.Key[i], bm.All.Op[i], bm.All.Sub[i])
+		}
+	}
+	bm.Release()
+	bt.Release()
+}
+
 // failLeaf is a LeafBalancer that always errors — a crashed/unreachable leaf.
 type failLeaf struct{}
 
@@ -627,10 +685,12 @@ func TestTreeRootWorkBelowMonolithic(t *testing.T) {
 	}
 }
 
-// BenchmarkLBTree is the tentpole benchmark (scripts/bench.sh -lbtree):
-// monolithic MakeBatches vs the full tree epoch at 1, 2, 4 and 8 leaves for
-// the same aggregate rate, plus the root stage's isolated cost. SortWorkers
-// is pinned to 1 so the numbers compare oblivious work, not scheduling.
+// BenchmarkLBTree is the plane benchmark (scripts/bench.sh -lbtree): the
+// reference one-feed LoadBalancer.MakeBatches ("monolithic", not a shipped
+// plane) vs the full tree epoch at 1, 2, 4 and 8 leaves for the same
+// aggregate rate. A 1-leaf tree skips the root, so it should cost the
+// reference plus one run copy. SortWorkers is pinned to 1 so the numbers
+// compare oblivious work, not scheduling.
 func BenchmarkLBTree(b *testing.B) {
 	const R, S = 4096, 4
 	key := crypt.MustNewKey()

@@ -143,11 +143,12 @@ func (p Plan) Format() string {
 	return b.String()
 }
 
-// lbPlaneTime models one plane's critical-path time at load r. Monolithic
-// planes pay the full oblivious sort (the CostModel's LBTime). A tree plane
-// pays one leaf's sort over its r/leaves share (leaves run in parallel on
-// their own machines) plus the root's merge of the already-sorted runs,
-// which replaces the monolithic sort at the exact compare-exchange ratio
+// lbPlaneTime models one plane's critical-path time at load r. A single-leaf
+// plane pays one full oblivious sort (the CostModel's LBTime) and no merge.
+// A multi-leaf plane pays one leaf's sort over its r/leaves share (leaves
+// run in parallel on their own machines) plus the root's merge of the
+// already-sorted runs, which replaces the full sort at the exact
+// compare-exchange ratio
 // obliv.MergeSortedCost / obliv.SortCost — a pure function of the public
 // run-length vector loadbalancer.TreeRunLens.
 func lbPlaneTime(m CostModel, r, s, leaves, lambda int) time.Duration {

@@ -16,11 +16,11 @@
 # with the steady-state allocation count of the streaming scan loop (must
 # be zero).
 #
-# Finally emits results/BENCH_lbtree.json: monolithic load balancer vs
-# 1/2/4/8-leaf hierarchical aggregation trees — MakeBatches wall time,
-# steady-state B/op and allocs/op (must be zero), and the root-level
-# compare-exchange counts showing the merge-of-sorted-runs beating the
-# monolithic re-sort from 4 leaves on.
+# Finally emits results/BENCH_lbtree.json: the reference one-feed
+# LoadBalancer.MakeBatches ("monolithic") vs 1/2/4/8-leaf aggregation-tree
+# planes — MakeBatches wall time, steady-state B/op and allocs/op (must be
+# zero), and the root-level compare-exchange counts (zero at 1 leaf) showing
+# the merge-of-sorted-runs beating the full re-sort from 4 leaves on.
 #
 # Usage: scripts/bench.sh [benchtime]   (default 2x)
 set -euo pipefail

@@ -84,4 +84,23 @@ go test -race -timeout 15m -count=2 \
 # placement: every decoded (length, destination set) must land each live
 # element on its slot with a content-independent swap schedule.
 go test -run '^$' -fuzz '^FuzzExpand$' -fuzztime=15s ./internal/obliv/
+
+# Fixed fuzzing budget for every other fuzz target — oblivious compaction and
+# sort orders, the Theorem-3 batch bound, sealing, the segstore registry and
+# store, wire decoding, WAL/snapshot recovery and the leaf-run protocol. go
+# test -fuzz takes one package and one target per invocation.
+while read -r pkg target; do
+  go test -run '^$' -fuzz "^${target}\$" -fuzztime=10s "$pkg"
+done <<'TARGETS'
+. FuzzCompactMatchesReference
+. FuzzSortOrders
+. FuzzBatchSizeBound
+. FuzzSealerRoundTrip
+./internal/segstore/ FuzzRegistryDecoder
+./internal/segstore/ FuzzStoreMutation
+./internal/wirecode/ FuzzDecodeRequests
+./internal/persist/ FuzzRecoveryDecoder
+./internal/transport/ FuzzServeLeafRunDecoder
+./internal/transport/ FuzzDialLeafRunReply
+TARGETS
 echo "check.sh: OK"

@@ -49,13 +49,13 @@ type Config struct {
 	// Lambda is the security parameter in bits for batch sizing (default
 	// 128).
 	Lambda int
-	// LBLeaves, when > 1, splits every load balancer into a two-level
-	// oblivious aggregation tree: that many leaf balancers each sort and
-	// locally deduplicate their own clients' requests, and a root merges
-	// the per-leaf sorted runs (O(n log n) per merge level instead of a
-	// monolithic O(n log² n) re-sort), globally deduplicates, and pads to
-	// the same Theorem-3 bound a monolithic balancer would use. The tree
-	// shape is public configuration; 0 or 1 keeps the monolithic plane.
+	// LBLeaves is the leaf count of every load balancer's oblivious
+	// aggregation tree: that many leaf balancers each sort and locally
+	// deduplicate their own clients' requests, and a root merges the
+	// per-leaf sorted runs (O(n log n) per merge level instead of a full
+	// O(n log² n) re-sort), globally deduplicates, and pads to the same
+	// Theorem-3 bound a single sort would use. The tree shape is public
+	// configuration; 0/1 = one leaf, no root merge.
 	LBLeaves int
 	// LBFanIn optionally caps the number of leaf runs merged per root
 	// merge node (0 means merge all leaves in one balanced binary merge
